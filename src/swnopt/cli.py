@@ -150,21 +150,6 @@ def cmd_discover(args: argparse.Namespace) -> int:
         method=opts.get("method", "auto"),
     )
 
-    # per-evaluation phase costs, measured once at uniform weights
-    uniform = [1.0] * spec.n_weights
-    t0 = time.perf_counter()
-    probe = trace_probabilities(annotate(rg, uniform), spec._targets, spec.max_level, spec.prob_floor)
-    timings["unfold"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    if measure == "lh":
-        log_likelihood_divergence(target, probe)
-    else:
-        try:
-            restricted_emd(target, probe)
-        except ComputationError:
-            pass
-    timings["distance"] = time.perf_counter() - t0
-
     t0 = time.perf_counter()
     result = optimized_weights(spec, config)
     timings["optimize"] = time.perf_counter() - t0

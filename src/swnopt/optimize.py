@@ -25,7 +25,6 @@ therefore non-increasing.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,16 +139,17 @@ def evaluate_objective(spec: ObjectiveSpec, weights: WeightVector | np.ndarray) 
     return restricted_emd(spec.target, unfolded).value
 
 
+def _score(spec: ObjectiveSpec, weights: np.ndarray) -> float:
+    """The objective, with zero-model-mass points scored INVALID_OBJECTIVE."""
+    try:
+        return evaluate_objective(spec, weights)
+    except ZeroModelMass:
+        return INVALID_OBJECTIVE
+
+
 def _guarded(spec: ObjectiveSpec):
-    """Objective over log-weights; zero-model-mass points score INVALID_OBJECTIVE."""
-
-    def f(x: np.ndarray) -> float:
-        try:
-            return evaluate_objective(spec, np.exp(x))
-        except ZeroModelMass:
-            return INVALID_OBJECTIVE
-
-    return f
+    """Objective over log-weights, scored as in :func:`_score`."""
+    return lambda x: _score(spec, np.exp(x))
 
 
 def draw_starts(spec: ObjectiveSpec, config: OptimizerConfig) -> np.ndarray:
@@ -158,26 +158,10 @@ def draw_starts(spec: ObjectiveSpec, config: OptimizerConfig) -> np.ndarray:
     return rng.uniform(INIT_LOW, 1.0, size=(config.n0, spec.n_weights))
 
 
-def select_start(spec: ObjectiveSpec, config: OptimizerConfig, workers: int = 1) -> WeightVector:
-    """Best of n0 seeded random draws; ties broken by earliest draw.
-
-    The draws are fixed up front, so evaluating them concurrently (``workers``
-    > 1) returns the same winner as a sequential pass.
-    """
+def select_start(spec: ObjectiveSpec, config: OptimizerConfig) -> WeightVector:
+    """Best of n0 seeded random draws; ties broken by earliest draw."""
     starts = draw_starts(spec, config)
-
-    def score(row: np.ndarray) -> float:
-        try:
-            return evaluate_objective(spec, row)
-        except ZeroModelMass:
-            return INVALID_OBJECTIVE
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(score, starts))
-    else:
-        values = [score(row) for row in starts]
-
+    values = [_score(spec, row) for row in starts]
     best = min(range(len(values)), key=lambda i: (values[i], i))
     if values[best] >= INVALID_OBJECTIVE:
         raise AllStartsInvalid(f"all {config.n0} starts had zero model mass on the log")
@@ -332,7 +316,7 @@ def minimize(spec: ObjectiveSpec, w0: WeightVector, config: OptimizerConfig) -> 
     )
 
 
-def optimized_weights(spec: ObjectiveSpec, config: OptimizerConfig, workers: int = 1) -> OptimizationResult:
+def optimized_weights(spec: ObjectiveSpec, config: OptimizerConfig) -> OptimizationResult:
     """Best-of-n0 start selection followed by local minimization."""
-    w0 = select_start(spec, config, workers=workers)
+    w0 = select_start(spec, config)
     return minimize(spec, w0, config)

@@ -93,7 +93,9 @@ class ReachabilityGraph:
     CSR-style slice ``out_start[s]:out_start[s+1]`` of arcs leaving state
     ``s``.  ``arc_tid`` indexes into the net's transition order.
     ``sink_state`` is the index of the marking {sink}, or None if the sink
-    marking is unreachable.
+    marking is unreachable.  ``out_arcs[s]`` lists the same arcs as
+    ``(arc index, destination, label)`` triples (label None = silent), the
+    weight-independent table the unfolding sweeps read.
     """
 
     wn: WorkflowNet
@@ -103,6 +105,7 @@ class ReachabilityGraph:
     arc_tid: np.ndarray
     out_start: np.ndarray
     sink_state: int | None
+    out_arcs: tuple[tuple[tuple[int, int, str | None], ...], ...]
 
     initial: int = 0
 
@@ -139,6 +142,7 @@ def build_rg(wn: WorkflowNet, state_cap: int = DEFAULT_STATE_CAP) -> Reachabilit
         pre_masks.append(sum(1 << place_idx[p] for p in pre))
         post_masks.append(sum(1 << place_idx[p] for p in post))
 
+    labels = [net.labeling[t] for t in net.transitions]
     initial = sum(1 << place_idx[p] for p, n in net.initial_marking.items() if n > 0)
     state_index: dict[int, int] = {initial: 0}
     states: list[int] = [initial]
@@ -146,11 +150,13 @@ def build_rg(wn: WorkflowNet, state_cap: int = DEFAULT_STATE_CAP) -> Reachabilit
     arc_dst: list[int] = []
     arc_tid: list[int] = []
     out_start: list[int] = [0]
+    out_arcs: list[tuple[tuple[int, int, str | None], ...]] = []
 
     queue = deque([0])
     while queue:
         src = queue.popleft()
         mask = states[src]
+        row = []
         for tid, (pre, post) in enumerate(zip(pre_masks, post_masks)):
             if mask & pre != pre:
                 continue
@@ -171,10 +177,12 @@ def build_rg(wn: WorkflowNet, state_cap: int = DEFAULT_STATE_CAP) -> Reachabilit
                 state_index[new_mask] = dst
                 states.append(new_mask)
                 queue.append(dst)
+            row.append((len(arc_src), dst, labels[tid]))
             arc_src.append(src)
             arc_dst.append(dst)
             arc_tid.append(tid)
         out_start.append(len(arc_src))
+        out_arcs.append(tuple(row))
 
     sink_mask = 1 << place_idx[wn.sink]
     sink_state = state_index.get(sink_mask)
@@ -192,6 +200,7 @@ def build_rg(wn: WorkflowNet, state_cap: int = DEFAULT_STATE_CAP) -> Reachabilit
         arc_tid=_frozen(arc_tid),
         out_start=_frozen(out_start),
         sink_state=sink_state,
+        out_arcs=tuple(out_arcs),
     )
 
 

@@ -9,23 +9,30 @@ makes the central correctness property structural: when a bucket is
 expanded, every key in it already holds its final probability, because all
 of its in-arcs come from the previous bucket.
 
-Two entry points:
+One private core, :func:`_sweep`, does the expansion for two entry points
+that differ only in how a visible arc steps the trace trie, which traces
+reaching the sink count, and when to stop:
 
-* :func:`trace_probabilities` restricts the unfolding to a target trace set
-  (a path is abandoned as soon as its trace is no longer a prefix of any
-  target) and reports the probability of each target.
-* :func:`unfold_language` explores freely and stops once the completed
-  probability mass reaches a coverage threshold or a budget binds, returning
-  a possibly defective stochastic language.
+* :func:`trace_probabilities` restricts the unfolding to a target trace set:
+  a read-only trie step abandons a path as soon as its trace is no longer a
+  prefix of any target, only targets are collected, and the cut mass is
+  reported as ``dropped_mass``.
+* :func:`unfold_language` explores freely, growing its trie within
+  ``max_trace_len``, collects every trace, and stops once the completed mass
+  reaches a coverage threshold or a budget binds; everything not collected
+  is left in ``residual``.
 
-Traces are interned in a trie; queue keys hold node ids, not tuples.
-Silent cycles would otherwise unfold forever, so both entry points bound the
-level count and drop per-key probabilities below ``prob_floor``; everything
-discarded this way is accounted for (``dropped_mass`` / ``residual``).
+The per-state arc table ``(arc index, destination, label)`` does not depend
+on the weights, so :func:`~swnopt.semantics.build_rg` builds it once per
+graph (``ReachabilityGraph.out_arcs``); a sweep only reads the annotated arc
+probabilities.  Traces are interned in a trie; queue keys hold node ids, not
+tuples.  Silent cycles would otherwise unfold forever, so both entry points
+bound the level count and drop per-key probabilities below ``prob_floor``.
 """
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Container, Iterable
 
 from .logs import StochasticLanguage, Trace
 from .semantics import AnnotatedRG
@@ -37,22 +44,28 @@ MergeHook = Callable[[int, tuple[int, int], float, bool], None]
 
 
 class _Trie:
-    """Append-only trie; node 0 is the root (empty trace)."""
+    """Append-only trie; node 0 is the root (empty trace).
 
-    __slots__ = ("parent", "symbol", "depth", "children")
+    :meth:`add` creates no node deeper than ``max_depth``.
+    """
 
-    def __init__(self):
+    __slots__ = ("parent", "symbol", "depth", "children", "max_depth")
+
+    def __init__(self, max_depth: float = math.inf):
         self.parent = [-1]
         self.symbol: list[str | None] = [None]
         self.depth = [0]
         self.children: list[dict[str, int]] = [{}]
+        self.max_depth = max_depth
 
     def __len__(self):
         return len(self.parent)
 
-    def add(self, node: int, symbol: str) -> int:
+    def add(self, node: int, symbol: str) -> int | None:
         child = self.children[node].get(symbol)
         if child is None:
+            if self.depth[node] >= self.max_depth:
+                return None
             child = len(self.parent)
             self.parent.append(node)
             self.symbol.append(symbol)
@@ -121,71 +134,55 @@ class UnfoldResult:
     levels_explored: int
 
 
-def _arcs_by_state(arg: AnnotatedRG) -> list[list[tuple[int, str | None, float]]]:
-    rg = arg.rg
-    labeling = rg.wn.net.labeling
-    transitions = rg.wn.net.transitions
-    arcs: list[list[tuple[int, str | None, float]]] = []
-    for s in range(rg.n_states):
-        lo, hi = rg.out_start[s], rg.out_start[s + 1]
-        arcs.append(
-            [
-                (int(rg.arc_dst[a]), labeling[transitions[rg.arc_tid[a]]], float(arg.arc_prob[a]))
-                for a in range(lo, hi)
-            ]
-        )
-    return arcs
-
-
 def default_max_level(n_states: int, longest_trace: int) -> int:
     """Level budget that lets every target complete even through silent detours."""
     return (1 + longest_trace) * n_states
 
 
-def trace_probabilities(
+def _sweep(
     arg: AnnotatedRG,
-    targets: PrefixIndex,
-    max_level: int | None = None,
-    prob_floor: float = DEFAULT_PROB_FLOOR,
+    trie: _Trie,
+    step: Callable[[int, str], int | None],
+    accept: Container[int] | None,
+    max_level: int,
+    prob_floor: float,
+    coverage: float = math.inf,
     on_merge: MergeHook | None = None,
-) -> UnfoldResult:
-    """Exact probability of each target trace under the annotated graph.
+) -> tuple[dict[Trace, float], float, int]:
+    """The level-by-level expansion both entry points share.
 
-    The expansion is restricted to paths whose emitted trace is a prefix of
-    some target; a path reaching the sink contributes if and only if its
-    trace is a target.  Queue keys beyond ``max_level`` or whose aggregated
-    probability falls below ``prob_floor`` are moved to ``dropped_mass``
-    (so a silent cycle turns into quantified truncation, not a hang).
+    ``step(node, symbol)`` gives the trie node a visible arc leads to, or
+    None to abandon the path.  A path reaching the sink is collected if
+    ``accept`` is None or contains its node.  Expansion stops when no key is
+    left or, between levels, once the collected mass reaches ``coverage``.
+    Returns the collected probability per trace, the mass cut by the level
+    budget or the floor, and the number of levels expanded.
     """
     rg = arg.rg
-    if max_level is None:
-        max_level = default_max_level(rg.n_states, targets.max_trace_len)
-    if max_level <= 0 or prob_floor < 0:
-        raise ValueError("limits must be positive")
-
-    trie = targets._trie
-    member = targets._member
-    arcs = _arcs_by_state(arg)
+    arcs = rg.out_arcs
+    arc_prob = arg.arc_prob.tolist()
     sink = rg.sink_state
 
     collected: dict[int, float] = {}
+    collected_mass = 0.0
     current: dict[tuple[int, int], float] = {(rg.initial, 0): 1.0}
     dropped = 0.0
     level = 0
-    while current:
+    while current and collected_mass < coverage:
         nxt: dict[tuple[int, int], float] = {}
         for (state, node), pr in current.items():
-            for dst, symbol, arc_p in arcs[state]:
+            for a, dst, symbol in arcs[state]:
                 if symbol is None:
                     new_node = node
                 else:
-                    new_node = trie.step(node, symbol)
+                    new_node = step(node, symbol)
                     if new_node is None:
-                        continue  # no longer a prefix of any target
-                new_pr = pr * arc_p
+                        continue
+                new_pr = pr * arc_prob[a]
                 if dst == sink:
-                    if new_node in member:
+                    if accept is None or new_node in accept:
                         collected[new_node] = collected.get(new_node, 0.0) + new_pr
+                        collected_mass += new_pr
                 elif level + 1 > max_level:
                     dropped += new_pr
                 else:
@@ -210,7 +207,34 @@ def trace_probabilities(
         level += 1
 
     probs = {trie.trace_of(node): pr for node, pr in collected.items()}
-    return UnfoldResult(probs=probs, dropped_mass=dropped, levels_explored=level)
+    return probs, dropped, level
+
+
+def trace_probabilities(
+    arg: AnnotatedRG,
+    targets: PrefixIndex,
+    max_level: int | None = None,
+    prob_floor: float = DEFAULT_PROB_FLOOR,
+    on_merge: MergeHook | None = None,
+) -> UnfoldResult:
+    """Exact probability of each target trace under the annotated graph.
+
+    The expansion is restricted to paths whose emitted trace is a prefix of
+    some target; a path reaching the sink contributes if and only if its
+    trace is a target.  Queue keys beyond ``max_level`` or whose aggregated
+    probability falls below ``prob_floor`` are moved to ``dropped_mass``
+    (so a silent cycle turns into quantified truncation, not a hang).
+    """
+    rg = arg.rg
+    if max_level is None:
+        max_level = default_max_level(rg.n_states, targets.max_trace_len)
+    if max_level <= 0 or prob_floor < 0:
+        raise ValueError("limits must be positive")
+
+    probs, dropped, levels = _sweep(
+        arg, targets._trie, targets._trie.step, targets._member, max_level, prob_floor, on_merge=on_merge
+    )
+    return UnfoldResult(probs=probs, dropped_mass=dropped, levels_explored=levels)
 
 
 def unfold_language(
@@ -237,36 +261,8 @@ def unfold_language(
     if max_level <= 0 or prob_floor < 0:
         raise ValueError("limits must be positive")
 
-    trie = _Trie()
-    arcs = _arcs_by_state(arg)
-    sink = rg.sink_state
-
-    collected: dict[int, float] = {}
-    collected_mass = 0.0
-    current: dict[tuple[int, int], float] = {(rg.initial, 0): 1.0}
-    level = 0
-    while current and collected_mass < coverage:
-        nxt: dict[tuple[int, int], float] = {}
-        for (state, node), pr in current.items():
-            for dst, symbol, arc_p in arcs[state]:
-                if symbol is None:
-                    new_node = node
-                else:
-                    if max_trace_len is not None and trie.depth[node] >= max_trace_len:
-                        continue  # length budget binds; mass stays in the residual
-                    new_node = trie.add(node, symbol)
-                new_pr = pr * arc_p
-                if dst == sink:
-                    collected[new_node] = collected.get(new_node, 0.0) + new_pr
-                    collected_mass += new_pr
-                elif level + 1 <= max_level:
-                    key = (dst, new_node)
-                    nxt[key] = nxt.get(key, 0.0) + new_pr
-        if prob_floor > 0.0 and nxt:
-            nxt = {key: pr for key, pr in nxt.items() if pr >= prob_floor}
-        current = nxt
-        level += 1
-
-    probs = {trie.trace_of(node): pr for node, pr in collected.items()}
+    # a path the length budget stops leaves its mass in the residual
+    trie = _Trie(max_trace_len if max_trace_len is not None else math.inf)
+    probs, _, _ = _sweep(arg, trie, trie.add, None, max_level, prob_floor, coverage=coverage)
     residual = max(0.0, 1.0 - sum(probs.values()))
     return StochasticLanguage(probs=probs, residual=residual)

@@ -95,7 +95,7 @@ def test_discover_timings_flag_adds_wall_times(workdir):
     code = main(_discover_args(workdir, measure="lh", seed="1", n0="2", max_iter="3") + ["--timings"])
     assert code == 0
     report = json.loads((workdir / "report.json").read_text())
-    assert set(report["timings"]) == {"parse", "rg", "unfold", "distance", "optimize"}
+    assert set(report["timings"]) == {"parse", "rg", "optimize"}
 
 
 def test_discover_missing_log_exits_2(workdir):

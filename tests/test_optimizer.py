@@ -111,12 +111,6 @@ def test_select_start_tie_break_earliest_draw():
     assert np.allclose(start.values, draw_starts(spec, config)[0])
 
 
-def test_select_start_parallel_matches_sequential():
-    spec = _pc_spec("remd")
-    config = OptimizerConfig(n0=12, seed=17)
-    assert select_start(spec, config, workers=1) == select_start(spec, config, workers=4)
-
-
 def test_all_starts_invalid():
     spec = ObjectiveSpec.for_net("remd", single_transition_wn(), StochasticLanguage({("b",): 1.0}))
     with pytest.raises(AllStartsInvalid):

@@ -131,6 +131,25 @@ def test_prob_floor_moves_mass_to_dropped():
     assert result.dropped_mass == pytest.approx(1.0)
 
 
+def test_unfold_language_level_cutoff_moves_mass_to_residual():
+    from swnopt.nets import StochasticWorkflowNet
+
+    swn = StochasticWorkflowNet(
+        silent_livelock_wn(),
+        {"t_in": 1.0, "t_go": 9.0, "t_back": 1.0, "emit": 1.0, "t_out": 1.0},
+    )
+    cut = unfold_language(_annotated(swn), coverage=1.0, max_level=4)
+    assert cut.residual > 0.1
+    assert cut.probs[("a",)] < 1.0
+    assert sum(cut.probs.values()) + cut.residual == pytest.approx(1.0, abs=1e-12)
+
+
+def test_unfold_language_prob_floor_moves_mass_to_residual():
+    lang = unfold_language(_annotated(parallel_choice_swn()), coverage=1.0, prob_floor=0.5)
+    assert lang.probs == {}
+    assert lang.residual == pytest.approx(1.0)
+
+
 def test_unfold_language_complete_reference():
     lang = unfold_language(_annotated(parallel_choice_swn()), coverage=1.0)
     assert lang.residual == 0.0
