@@ -8,13 +8,16 @@
 * ``emd``: earth mover's distance as an exact transportation linear program
   (solved with HiGHS); with normalized Levenshtein costs the value lies in
   [0, 1] and is interpretable as "how much probability must move how far".
+  HiGHS runs without presolve: presolve wrongly declares a transportation
+  system infeasible when a marginal entry lies below its feasibility
+  tolerance (~1e-7), and these LPs solve no slower without it.
 * ``restricted_emd``: EMD after restricting the model language to the
   target's support and renormalizing; cheap enough to drive optimization.
 * ``truncated_emd``: EMD after unfolding the model up to a probability
   coverage threshold; used for evaluation, not optimization.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -87,9 +90,11 @@ class CostMatrix:
     rows: tuple[Trace, ...]
     cols: tuple[Trace, ...]
     cost: np.ndarray
+    #: (n+m) x nm marginal constraints of the transportation LP: row sums, then column sums
+    _a_eq: sparse.coo_matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cost = np.asarray(self.cost, dtype=np.float64)
+        cost = np.array(self.cost, dtype=np.float64)
         if cost.shape != (len(self.rows), len(self.cols)):
             raise ValueError(f"cost shape {cost.shape} does not match {len(self.rows)}x{len(self.cols)} traces")
         if not np.all(np.isfinite(cost)) or np.any(cost < 0.0):
@@ -100,7 +105,12 @@ class CostMatrix:
                     raise ValueError(f"cost must be zero exactly on equal traces, violated at ({r!r}, {c!r})")
         if self.rows == self.cols and not np.array_equal(cost, cost.T):
             raise ValueError("cost matrix must be symmetric when rows == cols")
+        cost.flags.writeable = False
         object.__setattr__(self, "cost", cost)
+        n, m = cost.shape
+        ij = np.arange(n * m)
+        entries = (np.concatenate([ij // m, n + ij % m]), np.concatenate([ij, ij]))
+        object.__setattr__(self, "_a_eq", sparse.coo_matrix((np.ones(2 * n * m), entries), shape=(n + m, n * m)))
 
 
 def levenshtein_cost_matrix(rows: tuple[Trace, ...], cols: tuple[Trace, ...]) -> CostMatrix:
@@ -124,6 +134,8 @@ def emd(p: StochasticLanguage, q: StochasticLanguage, cost: CostMatrix) -> Trans
 
     Solves the transportation linear program: minimize the total moving cost
     over all couplings whose row sums reproduce ``p`` and column sums ``q``.
+    HiGHS runs once, without presolve, because presolve rejects feasible
+    systems whose marginals hold entries below its ~1e-7 tolerance.
     """
     if abs(p.mass() - 1.0) > _MARGINAL_TOL or abs(q.mass() - 1.0) > _MARGINAL_TOL:
         raise InfeasibleMarginals(
@@ -143,28 +155,10 @@ def emd(p: StochasticLanguage, q: StochasticLanguage, cost: CostMatrix) -> Trans
     for t, prob in q.probs.items():
         b[col_idx[t]] = prob
 
-    # marginal constraints: row sums = a, column sums = b
-    ij = np.arange(n * m)
-    row_of = ij // m
-    col_of = ij % m
-    data = np.ones(2 * n * m)
-    rows = np.concatenate([row_of, n + col_of])
-    cols = np.concatenate([ij, ij])
-    a_eq = sparse.coo_matrix((data, (rows, cols)), shape=(n + m, n * m))
     b_eq = np.concatenate([a, b])
-
-    res = linprog(cost.cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if res.status != 0:
-        # HiGHS presolve wrongly rejects systems whose marginals contain
-        # entries below its feasibility tolerance (~1e-7); retry without it
-        res = linprog(
-            cost.cost.ravel(),
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=(0, None),
-            method="highs",
-            options={"presolve": False},
-        )
+    res = linprog(
+        cost.cost.ravel(), A_eq=cost._a_eq, b_eq=b_eq, bounds=(0, None), method="highs", options={"presolve": False}
+    )
     if res.status != 0:
         raise InfeasibleMarginals(f"transportation LP failed: {res.message}")
     plan = np.maximum(res.x.reshape(n, m), 0.0)
@@ -213,11 +207,15 @@ def log_likelihood_divergence(target: StochasticLanguage, model_probs: UnfoldRes
     return float(total)
 
 
-def restricted_emd(target: StochasticLanguage, model_probs: UnfoldResult | dict) -> DistanceReport:
+def restricted_emd(
+    target: StochasticLanguage, model_probs: UnfoldResult | dict, cost: CostMatrix | None = None
+) -> DistanceReport:
     """EMD between the target and the model restricted to the target's support.
 
     The restriction is usually defective; it is renormalized to mass one
-    before the transportation problem is solved.  Raises
+    before the transportation problem is solved.  ``cost`` is the
+    normalized-Levenshtein matrix over the support, built here when omitted;
+    callers that score many models against one target pass it in.  Raises
     :class:`ZeroModelMass` when the model puts essentially no probability on
     any observed trace.
     """
@@ -230,7 +228,9 @@ def restricted_emd(target: StochasticLanguage, model_probs: UnfoldResult | dict)
     if mass < MASS_FLOOR:
         raise ZeroModelMass(f"model mass on the log support is {mass}")
     model_lang = StochasticLanguage({t: v / mass for t, v in restricted.items()}, 0.0)
-    plan = emd(target, model_lang, levenshtein_cost_matrix(support, support))
+    if cost is None:
+        cost = levenshtein_cost_matrix(support, support)
+    plan = emd(target, model_lang, cost)
     value = min(max(plan.cost, 0.0), 1.0)
     return DistanceReport(kind="remd", value=value, model_mass_on_log=mass)
 

@@ -89,9 +89,6 @@ class StochasticLanguage:
     def is_complete(self) -> bool:
         return self.residual <= _SUM_TOL
 
-    def support(self) -> tuple[Trace, ...]:
-        return tuple(self.probs)
-
     def mass(self) -> float:
         return sum(self.probs.values())
 

@@ -73,16 +73,6 @@ class LabeledPetriNet:
     def alphabet(self) -> tuple[str, ...]:
         return tuple(sorted({a for a in self.labeling.values() if a is not None}))
 
-    def preset(self, node: str) -> tuple[str, ...]:
-        return tuple(src for (src, dst) in self.flow if dst == node)
-
-    def postset(self, node: str) -> tuple[str, ...]:
-        return tuple(dst for (src, dst) in self.flow if src == node)
-
-    def marked_places(self) -> frozenset[str]:
-        """Initial marking as a place set (valid for 1-safe markings only)."""
-        return frozenset(p for p, n in self.initial_marking.items() if n > 0)
-
 
 @dataclass(frozen=True)
 class WorkflowNet:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ComputationError
-from .distances import ZeroModelMass, log_likelihood_divergence, restricted_emd
+from .distances import CostMatrix, ZeroModelMass, levenshtein_cost_matrix, log_likelihood_divergence, restricted_emd
 from .logs import StochasticLanguage
 from .nets import WeightVector, WorkflowNet
 from .semantics import ReachabilityGraph, annotate, build_rg
@@ -57,7 +57,12 @@ class AllStartsInvalid(ComputationError):
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
-    """What to minimize: a divergence between a net's language and a target."""
+    """What to minimize: a divergence between a net's language and a target.
+
+    The weight-independent parts of an evaluation are built once here: the
+    prefix index of the target's support and, for ``remd``, the
+    normalized-Levenshtein cost matrix over that support.
+    """
 
     measure: str
     wn: WorkflowNet
@@ -66,6 +71,7 @@ class ObjectiveSpec:
     max_level: int | None = None
     prob_floor: float = DEFAULT_PROB_FLOOR
     _targets: PrefixIndex = field(init=False, repr=False, compare=False)
+    _cost: CostMatrix | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.measure not in MEASURES:
@@ -73,6 +79,9 @@ class ObjectiveSpec:
         if not self.target.is_complete:
             raise ValueError("target language must be complete")
         object.__setattr__(self, "_targets", PrefixIndex(self.target.probs))
+        support = tuple(self.target.probs)
+        cost = levenshtein_cost_matrix(support, support) if self.measure == "remd" else None
+        object.__setattr__(self, "_cost", cost)
 
     @classmethod
     def for_net(cls, measure: str, wn: WorkflowNet, target: StochasticLanguage, **kwargs) -> "ObjectiveSpec":
@@ -136,7 +145,7 @@ def evaluate_objective(spec: ObjectiveSpec, weights: WeightVector | np.ndarray) 
     )
     if spec.measure == "lh":
         return log_likelihood_divergence(spec.target, unfolded)
-    return restricted_emd(spec.target, unfolded).value
+    return restricted_emd(spec.target, unfolded, spec._cost).value
 
 
 def _score(spec: ObjectiveSpec, weights: np.ndarray) -> float:

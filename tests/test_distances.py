@@ -92,6 +92,18 @@ def test_cost_matrix_validation():
         CostMatrix(rows, rows, np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
 
+def test_cost_matrix_is_read_only_copy():
+    rows = (("a",), ("b",))
+    given = np.array([[0.0, 1.0], [1.0, 0.0]])
+    cm = CostMatrix(rows, rows, given)
+    assert not cm.cost.flags.writeable
+    with pytest.raises(ValueError):
+        cm.cost[0, 1] = 0.5
+    assert given.flags.writeable
+    given[0, 1] = 0.5
+    assert cm.cost[0, 1] == 1.0
+
+
 def test_levenshtein_cost_matrix_is_normalized():
     rows = tuple(PARALLEL_CHOICE_PROBS)
     cm = levenshtein_cost_matrix(rows, rows)
@@ -147,6 +159,17 @@ def test_emd_requires_cost_coverage():
     cm = levenshtein_cost_matrix((("a",),), (("a",),))
     with pytest.raises(ValueError, match="does not cover"):
         emd(p, q, cm)
+
+
+def test_emd_solves_marginals_below_highs_tolerance():
+    # q holds entries below HiGHS's 1e-7 feasibility tolerance, which its
+    # presolve wrongly reports as infeasible
+    p_masses = [0.25, 0.25, 0.25, 0.25]
+    q_masses = [1.0 - 2.1e-7, 6e-8, 7e-8, 8e-8]
+    plan = emd(_point_language(p_masses), _point_language(q_masses), _point_cost(4))
+    # on a line with cost |i - j| the EMD is the L1 distance between the CDFs
+    closed_form = float(np.abs(np.cumsum(p_masses) - np.cumsum(q_masses))[:-1].sum())
+    assert plan.cost == pytest.approx(closed_form, abs=1e-6)
 
 
 def test_emd_beats_random_feasible_plans():

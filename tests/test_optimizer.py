@@ -76,6 +76,25 @@ def test_evaluate_objective_uniform_weights_remd_matches_oracle():
     assert value == pytest.approx(oracle, abs=1e-9)
 
 
+def test_remd_cost_matrix_built_once_per_spec(monkeypatch):
+    import swnopt.distances
+
+    calls = []
+    original = swnopt.distances.levenshtein_cost_matrix
+
+    def counting(rows, cols):
+        calls.append(len(rows))
+        return original(rows, cols)
+
+    monkeypatch.setattr(swnopt.distances, "levenshtein_cost_matrix", counting)
+    spec = _pc_spec("remd")
+    built = len(calls)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        assert 0.0 <= evaluate_objective(spec, rng.uniform(0.1, 1.0, size=spec.n_weights)) <= 1.0
+    assert len(calls) == built
+
+
 def test_scale_gauge_invariance():
     for measure in ("lh", "remd"):
         spec = _pc_spec(measure)
