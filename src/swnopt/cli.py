@@ -27,7 +27,7 @@ from .distances import (
 from .errors import ComputationError, InputError
 from .logs import EmptyLog, EventLog, log_language, parse_csv, parse_xes, write_csv, write_xes
 from .nets import StochasticWorkflowNet, validate_workflow
-from .optimize import ObjectiveSpec, OptimizerConfig, optimized_weights
+from .optimize import METHODS, ObjectiveSpec, OptimizerConfig, optimized_weights
 from .pnml import parse_pnml, write_pnml
 from .semantics import DEFAULT_STATE_CAP, annotate, build_rg
 from .unfolding import DEFAULT_PROB_FLOOR, PrefixIndex, trace_probabilities, unfold_language
@@ -51,11 +51,17 @@ def _read_config(path: str | None) -> dict[str, str]:
 
 
 class _Options:
-    """Flag > config file > default resolution."""
+    """Flag > config file > default resolution.  A config key that is no
+    option of the subcommand is warned about, not rejected: one file may
+    serve several subcommands."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.cfg = _read_config(getattr(args, "config", None))
+        options = set(vars(args)) - {"command", "handler", "config"}
+        for key in self.cfg:
+            if key not in options:
+                print(f"warning: config key {key!r} is not an option of {args.command}; ignored", file=sys.stderr)
 
     def get(self, key: str, default=None, cast=str):
         value = getattr(self.args, key, None)
@@ -147,7 +153,6 @@ def cmd_discover(args: argparse.Namespace) -> int:
         max_iter=opts.get("max_iter", 50, int),
         delta=opts.get("delta", 1e-3, float),
         seed=opts.get("seed", 0, int),
-        method=opts.get("method", "auto"),
     )
 
     t0 = time.perf_counter()
@@ -165,7 +170,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
         "schema": REPORT_SCHEMA,
         "command": "discover",
         "measure": measure,
-        "method": config.resolved_method(measure),
+        "method": METHODS[measure],
         "seed": config.seed,
         "n0": config.n0,
         "max_iter": config.max_iter,
@@ -312,7 +317,6 @@ def _add_log_options(p: argparse.ArgumentParser) -> None:
 def _add_unfold_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-level", dest="max_level", type=int, help="unfolding level budget")
     p.add_argument("--prob-floor", dest="prob_floor", type=float, help="per-key probability floor")
-    p.add_argument("--max-trace-len", dest="max_trace_len", type=int, help="trace length budget")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_log_options(p)
     _add_unfold_options(p)
     p.add_argument("--measure", choices=("lh", "remd"), help="objective (default: lh)")
-    p.add_argument("--method", choices=("auto", "fd-quasi-newton", "derivative-free"))
     p.add_argument("--n0", type=int, help="number of random starts (default: 10)")
     p.add_argument("--max-iter", dest="max_iter", type=int, help="iteration cap (default: 50)")
     p.add_argument("--delta", type=float, help="relative-decrement stop (default: 1e-3)")
@@ -347,6 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_unfold_options(p)
     p.add_argument("--measures", help="comma list from lh,remd,temd (default: all)")
     p.add_argument("--coverage", type=float, help="tEMD coverage threshold (default: 0.8)")
+    p.add_argument("--max-trace-len", dest="max_trace_len", type=int, help="tEMD trace length budget")
     p.add_argument("--config", help="key=value config file; flags win")
     p.set_defaults(handler=cmd_evaluate)
 
@@ -355,6 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_log_options(p)
     _add_unfold_options(p)
     p.add_argument("--coverage", type=float, help="unfold the full language up to this mass")
+    p.add_argument("--max-trace-len", dest="max_trace_len", type=int, help="trace length budget for --coverage")
     p.add_argument("--config", help="key=value config file; flags win")
     p.set_defaults(handler=cmd_unfold)
 

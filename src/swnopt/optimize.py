@@ -9,14 +9,13 @@ scale invariant; optimization happens in log-weight space, which keeps the
 weights positive without constraint machinery, and the reported weights are
 rescaled so the largest equals one.
 
-Two local methods are provided:
+The measure picks the local method (:data:`METHODS`):
 
-* ``fd-quasi-newton`` — BFGS-style inverse-Hessian updates fed by central
-  finite differences, with a backtracking (Armijo) line search.  Suited to
-  the smooth likelihood objective.
-* ``derivative-free`` — cyclic coordinate sweeps, each coordinate minimized
-  by a coarse scan followed by golden-section refinement.  Suited to the
-  kinked EMD objective.
+* ``lh``: ``fd-quasi-newton``, BFGS-style updates fed by central finite
+  differences, with a backtracking (Armijo) line search.  The likelihood
+  clamps at ``P_CLAMP``, so it never scores ``INVALID_OBJECTIVE``.
+* ``remd``: ``derivative-free``, cyclic coordinate sweeps, each a coarse
+  scan refined by golden section, for the kinked EMD surface.
 
 Both stop after ``max_iter`` accepted iterations, when the relative
 decrement of the objective falls below ``delta``, or when no improving step
@@ -36,8 +35,9 @@ from .nets import WeightVector, WorkflowNet
 from .semantics import ReachabilityGraph, annotate, build_rg
 from .unfolding import DEFAULT_PROB_FLOOR, PrefixIndex, trace_probabilities
 
-MEASURES = ("lh", "remd")
-METHODS = ("fd-quasi-newton", "derivative-free", "auto")
+#: The local method each measure is minimized with.
+METHODS = {"lh": "fd-quasi-newton", "remd": "derivative-free"}
+MEASURES = tuple(METHODS)
 STOP_MAX_ITER = "MaxIter"
 STOP_DELTA = "DeltaConverged"
 STOP_NO_IMPROVEMENT = "NoImprovement"
@@ -47,6 +47,12 @@ INVALID_OBJECTIVE = 1e12
 
 #: Random starting weights are drawn uniformly from (INIT_LOW, 1] per transition.
 INIT_LOW = 1e-3
+
+#: The local search keeps every weight within these bounds.
+WEIGHT_BOUNDS = (1e-9, 1e9)
+
+#: Grid points of the coarse scan that brackets each coordinate's minimum.
+_SCAN_POINTS = 12
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -98,8 +104,6 @@ class OptimizerConfig:
     max_iter: int = 50
     delta: float = 1e-3
     seed: int = 0
-    bounds: tuple[float, float] = (1e-9, 1e9)
-    method: str = "auto"
 
     def __post_init__(self):
         if self.n0 < 1:
@@ -108,16 +112,6 @@ class OptimizerConfig:
             raise ValueError("max_iter must be >= 1")
         if not (self.delta > 0.0):
             raise ValueError("delta must be positive")
-        lo, hi = self.bounds
-        if not (0.0 < lo < hi):
-            raise ValueError("bounds must satisfy 0 < low < high")
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-
-    def resolved_method(self, measure: str) -> str:
-        if self.method != "auto":
-            return self.method
-        return "fd-quasi-newton" if measure == "lh" else "derivative-free"
 
 
 @dataclass(frozen=True)
@@ -177,18 +171,14 @@ def select_start(spec: ObjectiveSpec, config: OptimizerConfig) -> WeightVector:
     return WeightVector(tuple(float(v) for v in starts[best]))
 
 
-def _central_gradient(f, x: np.ndarray, fallback: float) -> np.ndarray:
+def _central_gradient(f, x: np.ndarray) -> np.ndarray:
     grad = np.empty_like(x)
     for i in range(len(x)):
         h = 1e-6 * max(1.0, abs(x[i]))
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
-        fp, fm = f(xp), f(xm)
-        if fp >= INVALID_OBJECTIVE or fm >= INVALID_OBJECTIVE:
-            grad[i] = fallback
-        else:
-            grad[i] = (fp - fm) / (2.0 * h)
+        grad[i] = (f(xp) - f(xm)) / (2.0 * h)
     return grad
 
 
@@ -198,7 +188,7 @@ def _fd_quasi_newton(f, x0, fx0, lo, hi, max_iter, delta):
     trace = [(0, fx)]
     h_inv = np.eye(n)
     identity = np.eye(n)
-    grad = _central_gradient(f, x, 0.0)
+    grad = _central_gradient(f, x)
     stop = STOP_MAX_ITER
 
     for it in range(1, max_iter + 1):
@@ -225,7 +215,7 @@ def _fd_quasi_newton(f, x0, fx0, lo, hi, max_iter, delta):
             stop = STOP_NO_IMPROVEMENT
             break
 
-        grad_new = _central_gradient(f, x_new, 0.0)
+        grad_new = _central_gradient(f, x_new)
         s = x_new - x
         y = grad_new - grad
         sy = float(s @ y)
@@ -260,7 +250,7 @@ def _golden_section(g, a, b, tol=1e-6):
     return (x1, g1) if g1 <= g2 else (x2, g2)
 
 
-def _coordinate_descent(f, x0, fx0, lo, hi, max_iter, delta, scan_points=12):
+def _coordinate_descent(f, x0, fx0, lo, hi, max_iter, delta):
     x, fx = x0.copy(), fx0
     trace = [(0, fx)]
     stop = STOP_MAX_ITER
@@ -275,11 +265,11 @@ def _coordinate_descent(f, x0, fx0, lo, hi, max_iter, delta, scan_points=12):
                 return f(xi)
 
             # coarse scan picks the bracket; golden section refines inside it
-            grid = np.linspace(lo[i], hi[i], scan_points)
+            grid = np.linspace(lo[i], hi[i], _SCAN_POINTS)
             values = [g(v) for v in grid]
             k = int(np.argmin(values))
             a = grid[max(k - 1, 0)]
-            b = grid[min(k + 1, scan_points - 1)]
+            b = grid[min(k + 1, _SCAN_POINTS - 1)]
             v_best, g_best = _golden_section(g, a, b)
             if values[k] < g_best:
                 v_best, g_best = grid[k], values[k]
@@ -301,15 +291,15 @@ def _coordinate_descent(f, x0, fx0, lo, hi, max_iter, delta, scan_points=12):
 
 
 def minimize(spec: ObjectiveSpec, w0: WeightVector, config: OptimizerConfig) -> OptimizationResult:
-    """Local minimization from ``w0`` in log-weight space within the bounds."""
+    """Local minimization from ``w0`` in log-weight space within
+    :data:`WEIGHT_BOUNDS`, by the measure's method."""
     f = _guarded(spec)
-    lo = np.full(spec.n_weights, math.log(config.bounds[0]))
-    hi = np.full(spec.n_weights, math.log(config.bounds[1]))
+    lo = np.full(spec.n_weights, math.log(WEIGHT_BOUNDS[0]))
+    hi = np.full(spec.n_weights, math.log(WEIGHT_BOUNDS[1]))
     x0 = np.clip(np.log(np.asarray(w0.values, dtype=np.float64)), lo, hi)
     fx0 = f(x0)
 
-    method = config.resolved_method(spec.measure)
-    if method == "fd-quasi-newton":
+    if METHODS[spec.measure] == "fd-quasi-newton":
         x, fx, stop, trace = _fd_quasi_newton(f, x0, fx0, lo, hi, config.max_iter, config.delta)
     else:
         x, fx, stop, trace = _coordinate_descent(f, x0, fx0, lo, hi, config.max_iter, config.delta)

@@ -39,9 +39,6 @@ from .semantics import AnnotatedRG
 
 DEFAULT_PROB_FLOOR = 1e-12
 
-#: hook signature: (destination level, (state, trie node), added probability, key is new)
-MergeHook = Callable[[int, tuple[int, int], float, bool], None]
-
 
 class _Trie:
     """Append-only trie; node 0 is the root (empty trace).
@@ -83,14 +80,6 @@ class _Trie:
             node = self.add(node, symbol)
         return node
 
-    def walk(self, trace: Trace) -> int | None:
-        node = 0
-        for symbol in trace:
-            node = self.children[node].get(symbol)
-            if node is None:
-                return None
-        return node
-
     def trace_of(self, node: int) -> Trace:
         parts = []
         while node > 0:
@@ -100,7 +89,7 @@ class _Trie:
 
 
 class PrefixIndex:
-    """Trie over a target trace set, answering prefix and membership queries."""
+    """Trie over a non-empty target trace set, plus the set's member nodes."""
 
     def __init__(self, traces: Iterable[Trace]):
         self._trie = _Trie()
@@ -113,16 +102,6 @@ class PrefixIndex:
 
     def __len__(self):
         return len(self._member)
-
-    def is_prefix(self, trace: Trace) -> bool:
-        return self._trie.walk(trace) is not None
-
-    def is_member(self, trace: Trace) -> bool:
-        node = self._trie.walk(trace)
-        return node is not None and node in self._member
-
-    def traces(self) -> tuple[Trace, ...]:
-        return tuple(self._trie.trace_of(n) for n in sorted(self._member))
 
 
 @dataclass(frozen=True)
@@ -147,7 +126,6 @@ def _sweep(
     max_level: int,
     prob_floor: float,
     coverage: float = math.inf,
-    on_merge: MergeHook | None = None,
 ) -> tuple[dict[Trace, float], float, int]:
     """The level-by-level expansion both entry points share.
 
@@ -189,12 +167,8 @@ def _sweep(
                     key = (dst, new_node)
                     if key in nxt:
                         nxt[key] += new_pr
-                        if on_merge:
-                            on_merge(level + 1, key, new_pr, False)
                     else:
                         nxt[key] = new_pr
-                        if on_merge:
-                            on_merge(level + 1, key, new_pr, True)
         if prob_floor > 0.0 and nxt:
             kept = {}
             for key, pr in nxt.items():
@@ -215,7 +189,6 @@ def trace_probabilities(
     targets: PrefixIndex,
     max_level: int | None = None,
     prob_floor: float = DEFAULT_PROB_FLOOR,
-    on_merge: MergeHook | None = None,
 ) -> UnfoldResult:
     """Exact probability of each target trace under the annotated graph.
 
@@ -231,9 +204,7 @@ def trace_probabilities(
     if max_level <= 0 or prob_floor < 0:
         raise ValueError("limits must be positive")
 
-    probs, dropped, levels = _sweep(
-        arg, targets._trie, targets._trie.step, targets._member, max_level, prob_floor, on_merge=on_merge
-    )
+    probs, dropped, levels = _sweep(arg, targets._trie, targets._trie.step, targets._member, max_level, prob_floor)
     return UnfoldResult(probs=probs, dropped_mass=dropped, levels_explored=levels)
 
 

@@ -1,8 +1,10 @@
+import argparse
 import json
 import math
 
 import pytest
 
+from swnopt import cli
 from swnopt.cli import main
 from swnopt.logs import parse_csv, parse_xes, write_csv
 from swnopt.pnml import parse_pnml, write_pnml
@@ -46,6 +48,7 @@ def test_discover_remd_reaches_zero(workdir):
     report = json.loads((workdir / "report.json").read_text())
     assert report["schema"] == "stochastic-weights/report/1"
     assert report["measure"] == "remd"
+    assert report["method"] == "derivative-free"
     assert report["final_value"] <= 1e-3
     assert report["stop_reason"] in ("MaxIter", "DeltaConverged", "NoImprovement")
     assert "timings" not in report  # deterministic by default
@@ -126,7 +129,7 @@ def test_discover_unproducible_log_exits_3(workdir):
     assert code == 3
 
 
-def test_discover_config_file_flags_win(workdir):
+def test_discover_config_file_flags_win(workdir, capsys):
     cfg = workdir / "run.cfg"
     cfg.write_text(
         "# experiment bundle\n"
@@ -136,6 +139,7 @@ def test_discover_config_file_flags_win(workdir):
         "seed = 9\n"
         "n0 = 2\n"
         "max_iter = 4\n"
+        "method = derivative-free\n"
         f"out_net = {workdir / 'weighted.pnml'}\n"
         f"out_report = {workdir / 'report.json'}\n"
         f"out_convergence = {workdir / 'convergence.csv'}\n"
@@ -146,6 +150,39 @@ def test_discover_config_file_flags_win(workdir):
     assert report["seed"] == 11  # flag beats config
     assert report["n0"] == 2  # config beats default
     assert report["measure"] == "lh"
+    assert report["method"] == "fd-quasi-newton"  # the measure picks the method
+    err = capsys.readouterr().err
+    assert "warning: config key 'method' is not an option of discover; ignored" in err
+
+
+@pytest.mark.parametrize("flag,value", [("--method", "derivative-free"), ("--max-trace-len", "3")])
+def test_discover_rejects_removed_flags(workdir, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(_discover_args(workdir) + [flag, value])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_every_flag_is_read(workdir, capsys, monkeypatch):
+    read = {}
+    original = cli._Options.get
+
+    def recording_get(self, key, *args, **kwargs):
+        read.setdefault(self.args.command, set()).add(key)
+        return original(self, key, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Options, "get", recording_get)
+    net, log = str(workdir / "net.pnml"), str(workdir / "log.csv")
+    assert main(_discover_args(workdir, measure="lh", seed="1", n0="2", max_iter="2")) == 0
+    assert main(["evaluate", "--net", net, "--log", log]) == 0
+    assert main(["unfold", "--net", net, "--log", log]) == 0
+    assert main(["unfold", "--net", net, "--coverage", "1.0"]) == 0
+    capsys.readouterr()
+
+    (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for command in ("discover", "evaluate", "unfold"):
+        dests = {a.dest for a in subparsers.choices[command]._actions} - {"help", "config"}
+        assert dests - read[command] == set(), command
 
 
 def test_evaluate_reference_weighted_net(workdir, capsys):

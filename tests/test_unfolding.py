@@ -25,25 +25,17 @@ def _annotated(swn):
 
 
 def test_prefix_index_basics():
-    idx = PrefixIndex([("a", "b"), ("a", "c", "d")])
-    assert idx.is_prefix(())
-    assert idx.is_prefix(("a",))
-    assert idx.is_prefix(("a", "b"))
-    assert not idx.is_prefix(("b",))
-    assert not idx.is_prefix(("a", "b", "x"))
-    assert idx.is_member(("a", "b"))
-    assert not idx.is_member(("a",))
+    idx = PrefixIndex([("a", "b"), ("a", "c", "d"), ("a", "b")])
+    assert len(idx) == 2
     assert idx.max_trace_len == 3
-    assert set(idx.traces()) == {("a", "b"), ("a", "c", "d")}
     with pytest.raises(ValueError):
         PrefixIndex([])
 
 
 def test_prefix_index_with_empty_trace_member():
     idx = PrefixIndex([()])
-    assert idx.is_member(())
-    assert idx.is_prefix(())
-    assert not idx.is_prefix(("a",))
+    assert len(idx) == 1
+    assert idx.max_trace_len == 0
 
 
 def test_parallel_choice_exact_probabilities():
@@ -84,27 +76,6 @@ def test_unreachable_target_is_simply_absent():
     result = trace_probabilities(_annotated(parallel_choice_swn()), PrefixIndex([("b", "a")]))
     assert result.probs == {}
     assert result.dropped_mass == 0.0  # paths died by prefix filtering, not budgets
-
-
-def test_merge_hook_sees_aggregation_and_level_order():
-    events = []
-    trace_probabilities(
-        _annotated(two_loop_swn(1.0)),
-        PrefixIndex([("Q", "A"), ("A", "A")]),
-        on_merge=lambda level, key, pr, is_new: events.append((level, key, pr, is_new)),
-    )
-    levels = [e[0] for e in events]
-    assert levels == sorted(levels)  # strictly level-by-level expansion
-    merged = [e for e in events if not e[3]]
-    assert merged  # silent detours re-reach an existing (state, trace) key
-    # contributions to level L+1 keys arrive only while level L is current
-    first_seen = {}
-    for level, key, _, is_new in events:
-        if is_new:
-            assert key not in first_seen
-            first_seen[key] = level
-        else:
-            assert first_seen[key] == level  # merged at its own level, never later
 
 
 def test_dropped_mass_accounts_level_cutoff():
