@@ -3,9 +3,10 @@
 Given a workflow net (typically produced by a control-flow miner) and an
 event log, this package estimates transition weights so that the stochastic
 language induced by the weighted net matches the log's stochastic language.
-Trace probabilities are computed exactly by breadth-first unfolding of the
-reachability graph; the fit is driven either by the log-likelihood
-divergence or by the earth mover's distance restricted to the log's support.
+The probabilities of the log's traces are computed exactly, by one sparse
+linear solve over the product of the reachability graph with the log's
+prefix trie; the fit is driven either by the log-likelihood divergence or by
+the earth mover's distance restricted to the log's support.
 
 The main entry points, bottom up:
 
@@ -60,7 +61,7 @@ from .semantics import (
     fire,
     rg_to_dot,
 )
-from .unfolding import PrefixIndex, UnfoldResult, trace_probabilities, unfold_language
+from .unfolding import PrefixIndex, trace_probabilities, unfold_language
 
 __all__ = [
     "SILENT",
@@ -79,7 +80,6 @@ __all__ = [
     "StochasticWorkflowNet",
     "Trace",
     "TransportPlan",
-    "UnfoldResult",
     "WeightVector",
     "WorkflowNet",
     "annotate",

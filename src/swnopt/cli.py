@@ -140,14 +140,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
     rg = build_rg(wn, state_cap=opts.get("state_cap", DEFAULT_STATE_CAP, int))
     timings["rg"] = time.perf_counter() - t0
 
-    spec = ObjectiveSpec(
-        measure=measure,
-        wn=wn,
-        rg=rg,
-        target=target,
-        max_level=opts.get("max_level", None, int),
-        prob_floor=opts.get("prob_floor", DEFAULT_PROB_FLOOR, float),
-    )
+    spec = ObjectiveSpec(measure=measure, wn=wn, rg=rg, target=target)
     config = OptimizerConfig(
         n0=opts.get("n0", 10, int),
         max_iter=opts.get("max_iter", 50, int),
@@ -207,8 +200,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     rg = build_rg(wn, state_cap=opts.get("state_cap", DEFAULT_STATE_CAP, int))
     weights = [parsed.weights[t] for t in wn.net.transitions]
     annotated = annotate(rg, weights)
-    max_level = opts.get("max_level", None, int)
-    prob_floor = opts.get("prob_floor", DEFAULT_PROB_FLOOR, float)
     coverage = opts.get("coverage", 0.8, float)
 
     measures = [m.strip() for m in opts.get("measures", "lh,remd,temd").split(",") if m.strip()]
@@ -216,25 +207,22 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if unknown:
         raise InputError(f"unknown measures {unknown}; choose from lh, remd, temd")
 
-    probe = None
-    if "lh" in measures or "remd" in measures:
-        targets = PrefixIndex(target.probs)
-        probe = trace_probabilities(annotated, targets, max_level, prob_floor)
+    probs = trace_probabilities(annotated, PrefixIndex(target.probs)) if {"lh", "remd"} & set(measures) else None
 
     reports: list[DistanceReport] = []
     for m in measures:
         if m == "lh":
-            reports.append(DistanceReport(kind="lh", value=log_likelihood_divergence(target, probe)))
+            reports.append(DistanceReport(kind="lh", value=log_likelihood_divergence(target, probs)))
         elif m == "remd":
-            reports.append(restricted_emd(target, probe))
+            reports.append(restricted_emd(target, probs))
         else:
             report = truncated_emd(
                 target,
                 annotated,
                 coverage=coverage,
                 max_trace_len=opts.get("max_trace_len", None, int),
-                max_level=max_level,
-                prob_floor=prob_floor,
+                max_level=opts.get("max_level", None, int),
+                prob_floor=opts.get("prob_floor", DEFAULT_PROB_FLOOR, float),
             )
             if report.coverage_used < coverage:
                 print(
@@ -253,8 +241,6 @@ def cmd_unfold(args: argparse.Namespace) -> int:
     wn, parsed = _load_workflow(opts.require("net"), opts)
     rg = build_rg(wn, state_cap=opts.get("state_cap", DEFAULT_STATE_CAP, int))
     annotated = annotate(rg, [parsed.weights[t] for t in wn.net.transitions])
-    max_level = opts.get("max_level", None, int)
-    prob_floor = opts.get("prob_floor", DEFAULT_PROB_FLOOR, float)
 
     log_path = opts.get("log")
     coverage = opts.get("coverage", None, float)
@@ -262,15 +248,15 @@ def cmd_unfold(args: argparse.Namespace) -> int:
         log = _load_log(log_path, opts)
         if not log.entries:
             raise EmptyLog("target log has no traces")
-        result = trace_probabilities(annotated, PrefixIndex(log.support()), max_level, prob_floor)
-        _print_json({"traces": _trace_entries(result.probs, "prob"), "dropped_mass": result.dropped_mass})
+        probs = trace_probabilities(annotated, PrefixIndex(log.support()))
+        _print_json({"traces": _trace_entries(probs, "prob")})
     elif coverage is not None:
         lang = unfold_language(
             annotated,
             coverage=coverage,
             max_trace_len=opts.get("max_trace_len", None, int),
-            max_level=max_level,
-            prob_floor=prob_floor,
+            max_level=opts.get("max_level", None, int),
+            prob_floor=opts.get("prob_floor", DEFAULT_PROB_FLOOR, float),
         )
         _print_json({"traces": _trace_entries(lang.probs, "prob"), "residual": lang.residual})
     else:
@@ -315,8 +301,8 @@ def _add_log_options(p: argparse.ArgumentParser) -> None:
 
 
 def _add_unfold_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-level", dest="max_level", type=int, help="unfolding level budget")
-    p.add_argument("--prob-floor", dest="prob_floor", type=float, help="per-key probability floor")
+    p.add_argument("--max-level", dest="max_level", type=int, help="level budget (tEMD and --coverage)")
+    p.add_argument("--prob-floor", dest="prob_floor", type=float, help="per-key probability floor (tEMD and --coverage)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("discover", help="optimize transition weights against an event log")
     _add_net_options(p)
     _add_log_options(p)
-    _add_unfold_options(p)
     p.add_argument("--measure", choices=("lh", "remd"), help="objective (default: lh)")
     p.add_argument("--n0", type=int, help="number of random starts (default: 10)")
     p.add_argument("--max-iter", dest="max_iter", type=int, help="iteration cap (default: 50)")

@@ -26,7 +26,7 @@ from scipy.optimize import linprog
 from .errors import ComputationError
 from .logs import StochasticLanguage, Trace
 from .semantics import AnnotatedRG
-from .unfolding import DEFAULT_PROB_FLOOR, UnfoldResult, unfold_language
+from .unfolding import DEFAULT_PROB_FLOOR, unfold_language
 
 #: Model probabilities are clamped here before taking the log.
 P_CLAMP = 1e-12
@@ -196,19 +196,18 @@ class DistanceReport:
         }
 
 
-def log_likelihood_divergence(target: StochasticLanguage, model_probs: UnfoldResult | dict) -> float:
+def log_likelihood_divergence(target: StochasticLanguage, model_probs: dict[Trace, float]) -> float:
     """Negative expected log model probability under the target (natural log)."""
     if not target.is_complete:
         raise ValueError("target language must be complete")
-    probs = model_probs.probs if isinstance(model_probs, UnfoldResult) else model_probs
     total = 0.0
     for trace, p_target in target.probs.items():
-        total -= p_target * np.log(max(probs.get(trace, 0.0), P_CLAMP))
+        total -= p_target * np.log(max(model_probs.get(trace, 0.0), P_CLAMP))
     return float(total)
 
 
 def restricted_emd(
-    target: StochasticLanguage, model_probs: UnfoldResult | dict, cost: CostMatrix | None = None
+    target: StochasticLanguage, model_probs: dict[Trace, float], cost: CostMatrix | None = None
 ) -> DistanceReport:
     """EMD between the target and the model restricted to the target's support.
 
@@ -221,9 +220,8 @@ def restricted_emd(
     """
     if not target.is_complete:
         raise ValueError("target language must be complete")
-    probs = model_probs.probs if isinstance(model_probs, UnfoldResult) else model_probs
     support = tuple(target.probs)
-    restricted = {t: probs.get(t, 0.0) for t in support}
+    restricted = {t: model_probs.get(t, 0.0) for t in support}
     mass = sum(restricted.values())
     if mass < MASS_FLOOR:
         raise ZeroModelMass(f"model mass on the log support is {mass}")

@@ -2,8 +2,8 @@
 bounded local minimization of the chosen divergence.
 
 The objective is a pure function of the weight vector: annotate the
-reachability graph, unfold the trace probabilities over the target's
-support, measure the divergence (negative log likelihood, or EMD restricted
+reachability graph, solve for the probabilities of the target's support,
+measure the divergence (negative log likelihood, or EMD restricted
 to the log's support).  Weights enter only through ratios, so the surface is
 scale invariant; optimization happens in log-weight space, which keeps the
 weights positive without constraint machinery, and the reported weights are
@@ -13,7 +13,8 @@ The measure picks the local method (:data:`METHODS`):
 
 * ``lh``: ``fd-quasi-newton``, BFGS-style updates fed by central finite
   differences, with a backtracking (Armijo) line search.  The likelihood
-  clamps at ``P_CLAMP``, so it never scores ``INVALID_OBJECTIVE``.
+  clamps at ``P_CLAMP``; it scores ``INVALID_OBJECTIVE`` only where the
+  trace probabilities are beyond float precision (near the weight bounds).
 * ``remd``: ``derivative-free``, cyclic coordinate sweeps, each a coarse
   scan refined by golden section, for the kinked EMD surface.
 
@@ -33,7 +34,7 @@ from .distances import CostMatrix, ZeroModelMass, levenshtein_cost_matrix, log_l
 from .logs import StochasticLanguage
 from .nets import WeightVector, WorkflowNet
 from .semantics import ReachabilityGraph, annotate, build_rg
-from .unfolding import DEFAULT_PROB_FLOOR, PrefixIndex, trace_probabilities
+from .unfolding import IllConditioned, PrefixIndex, PrefixProduct
 
 #: The local method each measure is minimized with.
 METHODS = {"lh": "fd-quasi-newton", "remd": "derivative-free"}
@@ -42,7 +43,7 @@ STOP_MAX_ITER = "MaxIter"
 STOP_DELTA = "DeltaConverged"
 STOP_NO_IMPROVEMENT = "NoImprovement"
 
-#: Value standing in for a start the rEMD objective cannot score (zero model mass).
+#: Value standing in for a point the objective cannot score (see :func:`_score`).
 INVALID_OBJECTIVE = 1e12
 
 #: Random starting weights are drawn uniformly from (INIT_LOW, 1] per transition.
@@ -66,17 +67,15 @@ class ObjectiveSpec:
     """What to minimize: a divergence between a net's language and a target.
 
     The weight-independent parts of an evaluation are built once here: the
-    prefix index of the target's support and, for ``remd``, the
-    normalized-Levenshtein cost matrix over that support.
+    product of the graph with the target support's prefix trie and, for
+    ``remd``, the normalized-Levenshtein cost matrix over that support.
     """
 
     measure: str
     wn: WorkflowNet
     rg: ReachabilityGraph
     target: StochasticLanguage
-    max_level: int | None = None
-    prob_floor: float = DEFAULT_PROB_FLOOR
-    _targets: PrefixIndex = field(init=False, repr=False, compare=False)
+    _product: PrefixProduct = field(init=False, repr=False, compare=False)
     _cost: CostMatrix | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -84,14 +83,14 @@ class ObjectiveSpec:
             raise ValueError(f"measure must be one of {MEASURES}, got {self.measure!r}")
         if not self.target.is_complete:
             raise ValueError("target language must be complete")
-        object.__setattr__(self, "_targets", PrefixIndex(self.target.probs))
+        object.__setattr__(self, "_product", PrefixProduct(self.rg, PrefixIndex(self.target.probs)))
         support = tuple(self.target.probs)
         cost = levenshtein_cost_matrix(support, support) if self.measure == "remd" else None
         object.__setattr__(self, "_cost", cost)
 
     @classmethod
-    def for_net(cls, measure: str, wn: WorkflowNet, target: StochasticLanguage, **kwargs) -> "ObjectiveSpec":
-        return cls(measure=measure, wn=wn, rg=build_rg(wn), target=target, **kwargs)
+    def for_net(cls, measure: str, wn: WorkflowNet, target: StochasticLanguage) -> "ObjectiveSpec":
+        return cls(measure=measure, wn=wn, rg=build_rg(wn), target=target)
 
     @property
     def n_weights(self) -> int:
@@ -133,20 +132,17 @@ class OptimizationResult:
 
 def evaluate_objective(spec: ObjectiveSpec, weights: WeightVector | np.ndarray) -> float:
     """Divergence of the net under the given weights; pure in ``weights``."""
-    annotated = annotate(spec.rg, weights)
-    unfolded = trace_probabilities(
-        annotated, spec._targets, max_level=spec.max_level, prob_floor=spec.prob_floor
-    )
+    probs = spec._product.probabilities(annotate(spec.rg, weights))
     if spec.measure == "lh":
-        return log_likelihood_divergence(spec.target, unfolded)
-    return restricted_emd(spec.target, unfolded, spec._cost).value
+        return log_likelihood_divergence(spec.target, probs)
+    return restricted_emd(spec.target, probs, spec._cost).value
 
 
 def _score(spec: ObjectiveSpec, weights: np.ndarray) -> float:
-    """The objective, with zero-model-mass points scored INVALID_OBJECTIVE."""
+    """The objective, with ZeroModelMass and IllConditioned points scored INVALID_OBJECTIVE."""
     try:
         return evaluate_objective(spec, weights)
-    except ZeroModelMass:
+    except (ZeroModelMass, IllConditioned):
         return INVALID_OBJECTIVE
 
 

@@ -1,49 +1,54 @@
-"""Breadth-first unfolding of an annotated reachability graph.
+"""Trace probabilities of an annotated reachability graph.
 
-Computes exact trace probabilities by expanding the graph level by level
-(one level = one arc traversal).  Queue keys are (state, level, trace)
-triples; the level matters because silent transitions extend the path
-without extending the trace, so the same (state, trace) pair can be reached
-by paths of different lengths.  Keys are kept in per-level buckets, which
-makes the central correctness property structural: when a bucket is
-expanded, every key in it already holds its final probability, because all
-of its in-arcs come from the previous bucket.
-
-One private core, :func:`_sweep`, does the expansion for two entry points
-that differ only in how a visible arc steps the trace trie, which traces
-reaching the sink count, and when to stop:
-
-* :func:`trace_probabilities` restricts the unfolding to a target trace set:
-  a read-only trie step abandons a path as soon as its trace is no longer a
-  prefix of any target, only targets are collected, and the cut mass is
-  reported as ``dropped_mass``.
-* :func:`unfold_language` explores freely, growing its trie within
-  ``max_trace_len``, collects every trace, and stops once the completed mass
-  reaches a coverage threshold or a budget binds; everything not collected
-  is left in ``residual``.
-
-The per-state arc table ``(arc index, destination, label)`` does not depend
-on the weights, so :func:`~swnopt.semantics.build_rg` builds it once per
-graph (``ReachabilityGraph.out_arcs``); a sweep only reads the annotated arc
-probabilities.  Traces are interned in a trie; queue keys hold node ids, not
-tuples.  Silent cycles would otherwise unfold forever, so both entry points
-bound the level count and drop per-key probabilities below ``prob_floor``.
+* Restricted unfolding, the probability of each trace of a fixed target set
+  (a log's support), is one sparse linear solve over :class:`PrefixProduct`,
+  the product of the graph with the targets' prefix trie.  The product
+  depends only on the graph and the targets, so it is built once.  Silent
+  cycles need no budget: the solve gives their exact absorption
+  probabilities, the construction for trace probabilities of stochastic
+  labelled Petri nets in Leemans, Syring & van der Aalst, *Earth Movers'
+  Stochastic Conformance Checking* (BPM Forum 2019).
+* :func:`unfold_language` enumerates the free language level by level (one
+  level = one arc traversal; queue keys are (state, trie node) pairs in
+  per-level buckets) until the completed mass reaches a coverage threshold.
+  The language may be infinite, so a level budget, a per-key probability
+  floor, a trace length budget and :data:`MAX_PREFIXES` bound the work; the
+  mass not collected is left in ``residual``.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Container, Iterable
+from typing import Iterable
 
+import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import splu
+
+from .errors import ComputationError
 from .logs import StochasticLanguage, Trace
-from .semantics import AnnotatedRG
+from .semantics import AnnotatedRG, ReachabilityGraph
 
 DEFAULT_PROB_FLOOR = 1e-12
+
+#: Most nodes a trace trie may hold; past it `_Trie.add` raises PrefixCapExceeded.
+MAX_PREFIXES = 1 << 20
+
+#: How far a solved probability may leave [0, 1] before the solve is rejected.
+_PROB_TOL = 1e-9
+
+
+class PrefixCapExceeded(ComputationError):
+    """An unfolding needed more than MAX_PREFIXES distinct trace prefixes."""
+
+
+class IllConditioned(ComputationError):
+    """Trace probabilities beyond float precision (a silent cycle's escape is below it)."""
 
 
 class _Trie:
     """Append-only trie; node 0 is the root (empty trace).
 
-    :meth:`add` creates no node deeper than ``max_depth``.
+    :meth:`add` creates no node deeper than ``max_depth`` and no more than
+    :data:`MAX_PREFIXES` nodes.
     """
 
     __slots__ = ("parent", "symbol", "depth", "children", "max_depth")
@@ -55,30 +60,20 @@ class _Trie:
         self.children: list[dict[str, int]] = [{}]
         self.max_depth = max_depth
 
-    def __len__(self):
-        return len(self.parent)
-
     def add(self, node: int, symbol: str) -> int | None:
         child = self.children[node].get(symbol)
         if child is None:
             if self.depth[node] >= self.max_depth:
                 return None
             child = len(self.parent)
+            if child >= MAX_PREFIXES:
+                raise PrefixCapExceeded(f"over {MAX_PREFIXES} trace prefixes; lower --coverage or set --max-trace-len")
             self.parent.append(node)
             self.symbol.append(symbol)
             self.depth.append(self.depth[node] + 1)
             self.children.append({})
             self.children[node][symbol] = child
         return child
-
-    def step(self, node: int, symbol: str) -> int | None:
-        return self.children[node].get(symbol)
-
-    def insert(self, trace: Trace) -> int:
-        node = 0
-        for symbol in trace:
-            node = self.add(node, symbol)
-        return node
 
     def trace_of(self, node: int) -> Trace:
         parts = []
@@ -95,117 +90,110 @@ class PrefixIndex:
         self._trie = _Trie()
         self._member: set[int] = set()
         for trace in traces:
-            self._member.add(self._trie.insert(tuple(trace)))
+            node = 0
+            for symbol in trace:
+                node = self._trie.add(node, symbol)
+            self._member.add(node)
         if not self._member:
             raise ValueError("target trace set must be non-empty")
-        self.max_trace_len = max(self._trie.depth)
 
     def __len__(self):
         return len(self._member)
 
 
-@dataclass(frozen=True)
-class UnfoldResult:
-    """Trace probabilities plus the mass discarded by level/floor cutoffs."""
+class PrefixProduct:
+    """The graph × target-trie product and the sparse pattern of ``I - P^T``.
 
-    probs: dict[Trace, float]
-    dropped_mass: float
-    levels_explored: int
-
-
-def default_max_level(n_states: int, longest_trace: int) -> int:
-    """Level budget that lets every target complete even through silent detours."""
-    return (1 + longest_trace) * n_states
-
-
-def _sweep(
-    arg: AnnotatedRG,
-    trie: _Trie,
-    step: Callable[[int, str], int | None],
-    accept: Container[int] | None,
-    max_level: int,
-    prob_floor: float,
-    coverage: float = math.inf,
-) -> tuple[dict[Trace, float], float, int]:
-    """The level-by-level expansion both entry points share.
-
-    ``step(node, symbol)`` gives the trie node a visible arc leads to, or
-    None to abandon the path.  A path reaching the sink is collected if
-    ``accept`` is None or contains its node.  Expansion stops when no key is
-    left or, between levels, once the collected mass reaches ``coverage``.
-    Returns the collected probability per trace, the mass cut by the level
-    budget or the floor, and the number of levels expanded.
+    Keys are (state, trie node) pairs, numbered breadth first from (initial
+    state, root) along target prefixes: a silent arc keeps the node, a
+    visible arc steps the trie.  An arc into the sink is a *hit* when its
+    node is a target.  Keys from which no hit is reachable are pruned with
+    their arcs: they carry no target mass, and an exitless silent cycle among
+    them would make the system singular.  The expected visits ``x`` of the
+    keys solve ``(I - P^T) x = e_0``; P(σ) sums ``x * p`` over σ's hits.
+    Parallel arcs between two keys share one slot of the pattern.
     """
-    rg = arg.rg
-    arcs = rg.out_arcs
-    arc_prob = arg.arc_prob.tolist()
-    sink = rg.sink_state
 
-    collected: dict[int, float] = {}
-    collected_mass = 0.0
-    current: dict[tuple[int, int], float] = {(rg.initial, 0): 1.0}
-    dropped = 0.0
-    level = 0
-    while current and collected_mass < coverage:
-        nxt: dict[tuple[int, int], float] = {}
-        for (state, node), pr in current.items():
-            for a, dst, symbol in arcs[state]:
-                if symbol is None:
-                    new_node = node
-                else:
-                    new_node = step(node, symbol)
-                    if new_node is None:
-                        continue
-                new_pr = pr * arc_prob[a]
-                if dst == sink:
-                    if accept is None or new_node in accept:
-                        collected[new_node] = collected.get(new_node, 0.0) + new_pr
-                        collected_mass += new_pr
-                elif level + 1 > max_level:
-                    dropped += new_pr
-                else:
-                    key = (dst, new_node)
-                    if key in nxt:
-                        nxt[key] += new_pr
-                    else:
-                        nxt[key] = new_pr
-        if prob_floor > 0.0 and nxt:
-            kept = {}
-            for key, pr in nxt.items():
-                if pr < prob_floor:
-                    dropped += pr
-                else:
-                    kept[key] = pr
-            nxt = kept
-        current = nxt
-        level += 1
+    def __init__(self, rg: ReachabilityGraph, targets: PrefixIndex):
+        trie, member = targets._trie, targets._member
+        index = {(rg.initial, 0): 0}
+        keys = [(rg.initial, 0)]
+        edges = []  # (source key, destination key, arc)
+        hits = []  # (source key, target node, arc)
+        for src, (state, node) in enumerate(keys):  # keys grows while iterated: breadth first
+            for a, dst, symbol in rg.out_arcs[state]:
+                nxt = node if symbol is None else trie.children[node].get(symbol)
+                if nxt is None:
+                    continue
+                if dst == rg.sink_state:
+                    if nxt in member:
+                        hits.append((src, nxt, a))
+                    continue
+                key = (dst, nxt)
+                if key not in index:
+                    index[key] = len(keys)
+                    keys.append(key)
+                edges.append((src, index[key], a))
 
-    probs = {trie.trace_of(node): pr for node, pr in collected.items()}
-    return probs, dropped, level
+        preds: list[list[int]] = [[] for _ in keys]
+        for src, dst, _ in edges:
+            preds[dst].append(src)
+        live = np.zeros(len(keys), dtype=bool)
+        stack = [src for src, _, _ in hits]
+        while stack:
+            k = stack.pop()
+            if not live[k]:
+                live[k] = True
+                stack.extend(preds[k])
+        renumber = np.cumsum(live) - 1
+        edges = np.array(edges, dtype=np.int64).reshape(-1, 3)
+        kept = edges[live[edges[:, 1]]]  # a predecessor of a live key is live
+        n = int(live.sum())
+
+        diag = np.arange(n)
+        rows = np.concatenate([diag, renumber[kept[:, 1]]])
+        cols = np.concatenate([diag, renumber[kept[:, 0]]])
+        slots, slot_of = np.unique(cols * n + rows, return_inverse=True)
+        self._indices = (slots % n).astype(np.intc)  # SuperLU's index type: no cast per solve
+        self._indptr = np.searchsorted(slots // n, np.arange(n + 1)).astype(np.intc)
+        self._identity = np.zeros(len(slots))
+        self._identity[slot_of[:n]] = 1.0
+        self._edge_slot = slot_of[n:]
+        self._edge_arc = kept[:, 2]
+        self._e0 = np.eye(1, n)[0]
+
+        hits = np.array(hits, dtype=np.int64).reshape(-1, 3)
+        nodes, self._hit_group = np.unique(hits[:, 1], return_inverse=True)
+        self._traces = [trie.trace_of(node) for node in nodes.tolist()]
+        self._hit_key, self._hit_arc = renumber[hits[:, 0]], hits[:, 2]
+
+    def probabilities(self, arg: AnnotatedRG) -> dict[Trace, float]:
+        """Probability of each target trace the graph can produce; a target it
+        cannot produce is absent.  Raises :class:`IllConditioned` when the
+        solve fails or gives a probability outside [0, 1]."""
+        if not self._traces:
+            return {}
+        n = len(self._e0)
+        arc_prob = arg.arc_prob
+        data = self._identity - np.bincount(self._edge_slot, arc_prob[self._edge_arc], len(self._identity))
+        try:
+            lu = splu(sparse.csc_array((data, self._indices, self._indptr), shape=(n, n)), permc_spec="NATURAL")
+        except RuntimeError as exc:
+            raise IllConditioned(f"trace probability solve failed: {exc}") from exc
+        visits = lu.solve(self._e0)
+        probs = np.bincount(self._hit_group, visits[self._hit_key] * arc_prob[self._hit_arc], len(self._traces))
+        if not np.all((probs >= -_PROB_TOL) & (probs <= 1.0 + _PROB_TOL)):
+            raise IllConditioned(f"trace probability solve left [0, 1]: {probs.min()} .. {probs.max()}")
+        return dict(zip(self._traces, np.clip(probs, 0.0, 1.0).tolist()))
 
 
-def trace_probabilities(
-    arg: AnnotatedRG,
-    targets: PrefixIndex,
-    max_level: int | None = None,
-    prob_floor: float = DEFAULT_PROB_FLOOR,
-) -> UnfoldResult:
+def trace_probabilities(arg: AnnotatedRG, targets: PrefixIndex) -> dict[Trace, float]:
     """Exact probability of each target trace under the annotated graph.
 
-    The expansion is restricted to paths whose emitted trace is a prefix of
-    some target; a path reaching the sink contributes if and only if its
-    trace is a target.  Queue keys beyond ``max_level`` or whose aggregated
-    probability falls below ``prob_floor`` are moved to ``dropped_mass``
-    (so a silent cycle turns into quantified truncation, not a hang).
+    Builds the product and solves it once; callers that score many weight
+    vectors against one target set keep a :class:`PrefixProduct` instead.
     """
-    rg = arg.rg
-    if max_level is None:
-        max_level = default_max_level(rg.n_states, targets.max_trace_len)
-    if max_level <= 0 or prob_floor < 0:
-        raise ValueError("limits must be positive")
-
-    probs, dropped, levels = _sweep(arg, targets._trie, targets._trie.step, targets._member, max_level, prob_floor)
-    return UnfoldResult(probs=probs, dropped_mass=dropped, levels_explored=levels)
+    return PrefixProduct(arg.rg, targets).probabilities(arg)
 
 
 def unfold_language(
@@ -220,7 +208,8 @@ def unfold_language(
     The coverage check runs between levels, so each level is always fully
     merged before its keys are expanded.  The result has
     ``residual = 1 - sum(probs)``; a residual above ``1 - coverage`` means a
-    budget (trace length, level count, probability floor) bound first.
+    budget (trace length, level count, probability floor) bound first.  Past
+    :data:`MAX_PREFIXES` trie nodes it raises :class:`PrefixCapExceeded`.
     """
     if not (0.0 < coverage <= 1.0):
         raise ValueError("coverage must be in (0, 1]")
@@ -228,12 +217,44 @@ def unfold_language(
         raise ValueError("max_trace_len must be >= 1")
     rg = arg.rg
     if max_level is None:
-        max_level = default_max_level(rg.n_states, max_trace_len if max_trace_len is not None else rg.n_states)
+        max_level = (1 + (max_trace_len or rg.n_states)) * rg.n_states
     if max_level <= 0 or prob_floor < 0:
         raise ValueError("limits must be positive")
 
     # a path the length budget stops leaves its mass in the residual
     trie = _Trie(max_trace_len if max_trace_len is not None else math.inf)
-    probs, _, _ = _sweep(arg, trie, trie.add, None, max_level, prob_floor, coverage=coverage)
+    arcs = rg.out_arcs
+    arc_prob = arg.arc_prob.tolist()
+    sink = rg.sink_state
+    collected: dict[int, float] = {}
+    collected_mass = 0.0
+    current: dict[tuple[int, int], float] = {(rg.initial, 0): 1.0}
+    level = 0
+    while current and collected_mass < coverage:
+        nxt: dict[tuple[int, int], float] = {}
+        for (state, node), pr in current.items():
+            for a, dst, symbol in arcs[state]:
+                if symbol is None:
+                    new_node = node
+                else:
+                    new_node = trie.add(node, symbol)
+                    if new_node is None:
+                        continue
+                new_pr = pr * arc_prob[a]
+                if dst == sink:
+                    collected[new_node] = collected.get(new_node, 0.0) + new_pr
+                    collected_mass += new_pr
+                elif level + 1 <= max_level:
+                    key = (dst, new_node)
+                    if key in nxt:
+                        nxt[key] += new_pr
+                    else:
+                        nxt[key] = new_pr
+        if prob_floor > 0.0:
+            nxt = {key: pr for key, pr in nxt.items() if pr >= prob_floor}
+        current = nxt
+        level += 1
+
+    probs = {trie.trace_of(node): pr for node, pr in collected.items()}
     residual = max(0.0, 1.0 - sum(probs.values()))
     return StochasticLanguage(probs=probs, residual=residual)

@@ -171,7 +171,7 @@ def single_transition_wn() -> WorkflowNet:
 
 
 def silent_livelock_wn() -> WorkflowNet:
-    """A net whose silent loop has low escape probability; used for budget tests.
+    """A net whose silent loop has low escape probability; used for exactness and budget tests.
 
     source -> t_in -> p ; p -> t_loop -> p is forbidden (not 1-safe), so the
     loop runs through two places: p -> t_go -> q -> t_back -> p, with

@@ -155,7 +155,10 @@ def test_discover_config_file_flags_win(workdir, capsys):
     assert "warning: config key 'method' is not an option of discover; ignored" in err
 
 
-@pytest.mark.parametrize("flag,value", [("--method", "derivative-free"), ("--max-trace-len", "3")])
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--method", "derivative-free"), ("--max-trace-len", "3"), ("--max-level", "4"), ("--prob-floor", "0.1")],
+)
 def test_discover_rejects_removed_flags(workdir, capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
         main(_discover_args(workdir) + [flag, value])
@@ -267,7 +270,7 @@ def test_unfold_restricted_to_log(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     probs = {tuple(e["trace"]): e["prob"] for e in payload["traces"]}
     assert probs[("A", "A")] == pytest.approx(11 / 81, rel=1e-9)
-    assert payload["dropped_mass"] >= 0.0
+    assert set(payload) == {"traces"}
 
 
 def test_unfold_coverage_dump(workdir, capsys):
@@ -276,6 +279,16 @@ def test_unfold_coverage_dump(workdir, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["traces"]) == 4
     assert payload["residual"] == 0.0
+
+
+def test_unfold_prefix_cap_exits_3(tmp_path, capsys, monkeypatch):
+    from swnopt import unfolding
+
+    monkeypatch.setattr(unfolding, "MAX_PREFIXES", 50)
+    net = tmp_path / "loops.pnml"
+    net.write_bytes(write_pnml(two_loop_swn(1.0)))
+    assert main(["unfold", "--net", str(net), "--coverage", "1"]) == 3
+    assert "--max-trace-len" in capsys.readouterr().err
 
 
 def test_unfold_empty_log_exits_2(workdir, capsys):

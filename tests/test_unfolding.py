@@ -3,8 +3,19 @@ import random
 import numpy as np
 import pytest
 
+from swnopt import unfolding
+from swnopt.logs import StochasticLanguage
+from swnopt.nets import LabeledPetriNet, StochasticWorkflowNet, validate_workflow
+from swnopt.optimize import INVALID_OBJECTIVE, ObjectiveSpec, _guarded, evaluate_objective
 from swnopt.semantics import annotate, build_rg
-from swnopt.unfolding import PrefixIndex, trace_probabilities, unfold_language
+from swnopt.unfolding import (
+    IllConditioned,
+    PrefixCapExceeded,
+    PrefixIndex,
+    PrefixProduct,
+    trace_probabilities,
+    unfold_language,
+)
 
 from .fixtures import (
     PARALLEL_CHOICE_PROBS,
@@ -27,7 +38,6 @@ def _annotated(swn):
 def test_prefix_index_basics():
     idx = PrefixIndex([("a", "b"), ("a", "c", "d"), ("a", "b")])
     assert len(idx) == 2
-    assert idx.max_trace_len == 3
     with pytest.raises(ValueError):
         PrefixIndex([])
 
@@ -35,15 +45,13 @@ def test_prefix_index_basics():
 def test_prefix_index_with_empty_trace_member():
     idx = PrefixIndex([()])
     assert len(idx) == 1
-    assert idx.max_trace_len == 0
 
 
 def test_parallel_choice_exact_probabilities():
     result = trace_probabilities(_annotated(parallel_choice_swn()), PrefixIndex(PARALLEL_CHOICE_PROBS))
-    assert result.dropped_mass == 0.0
-    assert set(result.probs) == set(PARALLEL_CHOICE_PROBS)
+    assert set(result) == set(PARALLEL_CHOICE_PROBS)
     for trace, expected in PARALLEL_CHOICE_PROBS.items():
-        assert abs(result.probs[trace] - expected) <= 1e-12
+        assert abs(result[trace] - expected) <= 1e-12
 
 
 def test_single_transition_net():
@@ -51,15 +59,14 @@ def test_single_transition_net():
 
     swn = StochasticWorkflowNet(single_transition_wn(), {"a": 2.5})
     result = trace_probabilities(_annotated(swn), PrefixIndex([("a",)]))
-    assert result.probs == {("a",): 1.0}
-    assert result.dropped_mass == 0.0
+    assert result == {("a",): 1.0}
 
 
 def test_two_loop_closed_forms_at_unit_weights():
     swn = two_loop_swn(1.0)
     result = trace_probabilities(_annotated(swn), PrefixIndex([("Q", "A"), ("A", "A")]))
-    assert result.probs[("Q", "A")] == pytest.approx(1 / 27, rel=1e-12)
-    assert result.probs[("A", "A")] == pytest.approx(11 / 81, rel=1e-12)
+    assert result[("Q", "A")] == pytest.approx(1 / 27, rel=1e-12)
+    assert result[("A", "A")] == pytest.approx(11 / 81, rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -68,48 +75,84 @@ def test_two_loop_closed_forms_at_random_weights(seed):
     wn = two_loop_swn(1.0).wn
     weights = {t: rng.uniform(0.05, 5.0) for t in wn.net.transitions}
     result = trace_probabilities(_annotated(two_loop_swn(weights)), PrefixIndex([("Q", "A"), ("A", "A")]))
-    assert result.probs[("Q", "A")] == pytest.approx(closed_form_qa(weights), rel=1e-9)
-    assert result.probs[("A", "A")] == pytest.approx(closed_form_aa(weights), rel=1e-9)
+    assert result[("Q", "A")] == pytest.approx(closed_form_qa(weights), rel=1e-9)
+    assert result[("A", "A")] == pytest.approx(closed_form_aa(weights), rel=1e-9)
 
 
 def test_unreachable_target_is_simply_absent():
     result = trace_probabilities(_annotated(parallel_choice_swn()), PrefixIndex([("b", "a")]))
-    assert result.probs == {}
-    assert result.dropped_mass == 0.0  # paths died by prefix filtering, not budgets
+    assert result == {}
 
 
-def test_dropped_mass_accounts_level_cutoff():
-    from swnopt.nets import StochasticWorkflowNet
-
-    swn = StochasticWorkflowNet(
-        silent_livelock_wn(),
-        {"t_in": 1.0, "t_go": 9.0, "t_back": 1.0, "emit": 1.0, "t_out": 1.0},
+def _livelock(w_go: float) -> StochasticWorkflowNet:
+    return StochasticWorkflowNet(
+        silent_livelock_wn(), {"t_in": 1.0, "t_go": w_go, "t_back": 1.0, "emit": 1.0, "t_out": 1.0}
     )
-    full = trace_probabilities(_annotated(swn), PrefixIndex([("a",)]), max_level=600)
-    assert full.probs[("a",)] == pytest.approx(1.0, abs=1e-9)
-
-    cut = trace_probabilities(_annotated(swn), PrefixIndex([("a",)]), max_level=4)
-    assert cut.dropped_mass > 0.1
-    assert cut.probs[("a",)] < 1.0
-    assert cut.probs[("a",)] + cut.dropped_mass <= 1.0 + 1e-9
-    assert cut.levels_explored <= 5
 
 
-def test_prob_floor_moves_mass_to_dropped():
-    arg = _annotated(parallel_choice_swn())
-    result = trace_probabilities(arg, PrefixIndex(PARALLEL_CHOICE_PROBS), prob_floor=0.5)
-    assert result.probs == {}
-    assert result.dropped_mass == pytest.approx(1.0)
+@pytest.mark.parametrize("w_go", [1.0, 20.0, 200.0])
+def test_silent_livelock_is_exact(w_go):
+    # the silent cycle is left with probability 1 / (1 + w_go) per visit, so
+    # <a> is certain; the level-budgeted sweep gave 0.969 / 0.216 / 0.025
+    result = trace_probabilities(_annotated(_livelock(w_go)), PrefixIndex([("a",)]))
+    assert result[("a",)] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_exitless_silent_cycle_is_pruned():
+    # source -τ-> p; p -a-> x -τ-> sink; p -τ-> q, a silent 2-cycle q <-> r whose
+    # only exit (q, x) -τ-> sink can never fire: without pruning the solve is singular
+    net = LabeledPetriNet(
+        places=("source", "p", "x", "q", "r", "sink"),
+        transitions=("t_in", "emit", "t_out", "t_trap", "t_qr", "t_rq", "t_exit"),
+        flow={
+            ("source", "t_in"): 1, ("t_in", "p"): 1,
+            ("p", "emit"): 1, ("emit", "x"): 1, ("x", "t_out"): 1, ("t_out", "sink"): 1,
+            ("p", "t_trap"): 1, ("t_trap", "q"): 1,
+            ("q", "t_qr"): 1, ("t_qr", "r"): 1, ("r", "t_rq"): 1, ("t_rq", "q"): 1,
+            ("q", "t_exit"): 1, ("x", "t_exit"): 1, ("t_exit", "sink"): 1,
+        },
+        labeling={t: None for t in ("t_in", "t_out", "t_trap", "t_qr", "t_rq", "t_exit")} | {"emit": "a"},
+        initial_marking={"source": 1},
+    )
+    weights = {"t_in": 1.0, "emit": 2.0, "t_out": 1.0, "t_trap": 3.0, "t_qr": 1.0, "t_rq": 1.0, "t_exit": 1.0}
+    swn = StochasticWorkflowNet(validate_workflow(net, "source", "sink"), weights)
+    result = trace_probabilities(_annotated(swn), PrefixIndex([("a",)]))
+    assert result[("a",)] == pytest.approx(0.4, abs=1e-12)
+
+
+def test_escape_below_float_precision_scores_invalid():
+    with pytest.raises(IllConditioned):
+        trace_probabilities(_annotated(_livelock(1e18)), PrefixIndex([("a",)]))
+    spec = ObjectiveSpec.for_net("lh", silent_livelock_wn(), StochasticLanguage({("a",): 1.0}))
+    x = np.log([1.0, 1e18, 1.0, 1.0, 1.0])
+    assert _guarded(spec)(x) == INVALID_OBJECTIVE
+
+
+def test_product_built_once_per_spec(monkeypatch):
+    calls = []
+    original = PrefixProduct.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(PrefixProduct, "__init__", counting)
+    swn = two_loop_swn(1.0)
+    spec = ObjectiveSpec.for_net("lh", swn.wn, StochasticLanguage({("Q", "A"): 0.5, ("A", "A"): 0.5}))
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        assert evaluate_objective(spec, rng.uniform(0.1, 1.0, size=spec.n_weights)) > 0.0
+    assert len(calls) == 1
+
+
+def test_unfold_language_prefix_cap(monkeypatch):
+    monkeypatch.setattr(unfolding, "MAX_PREFIXES", 50)
+    with pytest.raises(PrefixCapExceeded, match="--coverage.*--max-trace-len"):
+        unfold_language(_annotated(two_loop_swn(1.0)), coverage=1.0)
 
 
 def test_unfold_language_level_cutoff_moves_mass_to_residual():
-    from swnopt.nets import StochasticWorkflowNet
-
-    swn = StochasticWorkflowNet(
-        silent_livelock_wn(),
-        {"t_in": 1.0, "t_go": 9.0, "t_back": 1.0, "emit": 1.0, "t_out": 1.0},
-    )
-    cut = unfold_language(_annotated(swn), coverage=1.0, max_level=4)
+    cut = unfold_language(_annotated(_livelock(9.0)), coverage=1.0, max_level=4)
     assert cut.residual > 0.1
     assert cut.probs[("a",)] < 1.0
     assert sum(cut.probs.values()) + cut.residual == pytest.approx(1.0, abs=1e-12)
@@ -176,7 +219,7 @@ def test_restriction_consistency_exact():
         some = support[: max(1, len(support) // 2)]
         restricted = trace_probabilities(arg, PrefixIndex(some))
         for trace in some:
-            assert restricted.probs[trace] == full.probs[trace]  # exact float equality
+            assert restricted[trace] == full.probs[trace]  # exact float equality
 
 
 def test_probability_conservation_on_acyclic_nets():
@@ -196,8 +239,8 @@ def test_weight_scaling_leaves_unfolding_unchanged():
         scaled = trace_probabilities(
             _annotated(two_loop_swn({t: w * c for t, w in base.items()})), targets
         )
-        for trace, p in reference.probs.items():
-            assert scaled.probs[trace] == pytest.approx(p, rel=1e-12)
+        for trace, p in reference.items():
+            assert scaled[trace] == pytest.approx(p, rel=1e-12)
 
 
 def test_monte_carlo_agreement_two_loop():
@@ -208,7 +251,7 @@ def test_monte_carlo_agreement_two_loop():
     n = 200_000
     counts = simulate_target_frequencies(swn, targets, n_runs=n, seed=99)
     for trace in targets:
-        p = result.probs.get(trace, 0.0)
+        p = result.get(trace, 0.0)
         phat = counts[trace] / n
         sigma = np.sqrt(max(phat * (1 - phat), 1e-12) / n)
         assert abs(p - phat) <= 3.3 * sigma, (trace, p, phat)
