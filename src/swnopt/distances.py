@@ -5,12 +5,18 @@
   likelihood estimation; its floor is the target's empirical entropy.  Model
   probabilities are clamped at ``P_CLAMP`` before the log so a missed trace
   yields a large finite penalty instead of an infinite one.
-* ``emd``: earth mover's distance as an exact transportation linear program
-  (solved with HiGHS); with normalized Levenshtein costs the value lies in
-  [0, 1] and is interpretable as "how much probability must move how far".
-  HiGHS runs without presolve: presolve wrongly declares a transportation
-  system infeasible when a marginal entry lies below its feasibility
-  tolerance (~1e-7), and these LPs solve no slower without it.
+* ``emd``: earth mover's distance as an exact transportation linear program,
+  solved with HiGHS's dual simplex; with normalized Levenshtein costs the
+  value lies in [0, 1] and is interpretable as "how much probability must
+  move how far".  Each :class:`CostMatrix` holds one HiGHS model with its
+  costs and marginal constraints; a solve only rewrites the row bounds to
+  the two marginals.  Per-call set-up, not pivoting, dominates these small
+  LPs, so this is what makes rEMD cheap enough to optimize.  Every solve
+  starts cold, from no basis: a warm start would save a little more but
+  make a value depend on which LPs the model solved before.  HiGHS runs
+  without presolve: presolve wrongly declares a transportation system
+  infeasible when a marginal entry lies below its feasibility tolerance
+  (~1e-7), and these LPs solve no slower without it.
 * ``restricted_emd``: EMD after restricting the model language to the
   target's support and renormalizing; cheap enough to drive optimization.
 * ``truncated_emd``: EMD after unfolding the model up to a probability
@@ -20,8 +26,7 @@
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs  # private module, shipped since scipy 1.15
 
 from .errors import ComputationError
 from .logs import StochasticLanguage, Trace
@@ -85,13 +90,16 @@ class CostMatrix:
     Costs must be non-negative and zero exactly on equal traces, and the
     matrix must be symmetric when rows and cols coincide.  Matrices built
     with :func:`levenshtein_cost_matrix` additionally stay within [0, 1].
+    The matrix owns the HiGHS model that :func:`emd` solves, so one matrix
+    must not be used by two threads at once.
     """
 
     rows: tuple[Trace, ...]
     cols: tuple[Trace, ...]
     cost: np.ndarray
-    #: (n+m) x nm marginal constraints of the transportation LP: row sums, then column sums
-    _a_eq: sparse.coo_matrix = field(init=False, repr=False, compare=False)
+    #: transportation LP over the flattened plan: these costs, the (n+m) x nm
+    #: marginal constraints (row sums, then column sums) and plan >= 0
+    _lp: highs._Highs = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cost = np.array(self.cost, dtype=np.float64)
@@ -99,18 +107,42 @@ class CostMatrix:
             raise ValueError(f"cost shape {cost.shape} does not match {len(self.rows)}x{len(self.cols)} traces")
         if not np.all(np.isfinite(cost)) or np.any(cost < 0.0):
             raise ValueError("costs must be finite and non-negative")
-        for i, r in enumerate(self.rows):
-            for j, c in enumerate(self.cols):
-                if (cost[i, j] == 0.0) != (r == c):
-                    raise ValueError(f"cost must be zero exactly on equal traces, violated at ({r!r}, {c!r})")
+        ids: dict[Trace, int] = {}
+        row_ids = [ids.setdefault(t, len(ids)) for t in self.rows]
+        col_ids = [ids.setdefault(t, len(ids)) for t in self.cols]
+        wrong = (cost == 0.0) != np.equal.outer(row_ids, col_ids)
+        if wrong.any():
+            i, j = np.argwhere(wrong)[0]
+            raise ValueError(
+                f"cost must be zero exactly on equal traces, violated at ({self.rows[i]!r}, {self.cols[j]!r})"
+            )
         if self.rows == self.cols and not np.array_equal(cost, cost.T):
             raise ValueError("cost matrix must be symmetric when rows == cols")
         cost.flags.writeable = False
         object.__setattr__(self, "cost", cost)
-        n, m = cost.shape
-        ij = np.arange(n * m)
-        entries = (np.concatenate([ij // m, n + ij % m]), np.concatenate([ij, ij]))
-        object.__setattr__(self, "_a_eq", sparse.coo_matrix((np.ones(2 * n * m), entries), shape=(n + m, n * m)))
+        object.__setattr__(self, "_lp", _transport_model(cost))
+
+
+def _transport_model(cost: np.ndarray) -> highs._Highs:
+    """HiGHS model of the transportation LP; its row bounds are set per solve."""
+    n, m = cost.shape
+    ij = np.arange(n * m)
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n * m
+    lp.num_row_ = lp.a_matrix_.num_row_ = n + m
+    lp.col_cost_ = cost.ravel()
+    lp.col_lower_ = np.zeros(n * m)
+    lp.col_upper_ = np.full(n * m, highs.kHighsInf)
+    lp.row_lower_ = lp.row_upper_ = np.zeros(n + m)
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = 2 * np.arange(n * m + 1)
+    lp.a_matrix_.index_ = np.stack([ij // m, n + ij % m], axis=1).ravel()
+    lp.a_matrix_.value_ = np.ones(2 * n * m)
+    model = highs._Highs()
+    model.setOptionValue("output_flag", False)
+    model.setOptionValue("presolve", "off")
+    model.passModel(lp)
+    return model
 
 
 def levenshtein_cost_matrix(rows: tuple[Trace, ...], cols: tuple[Trace, ...]) -> CostMatrix:
@@ -134,8 +166,12 @@ def emd(p: StochasticLanguage, q: StochasticLanguage, cost: CostMatrix) -> Trans
 
     Solves the transportation linear program: minimize the total moving cost
     over all couplings whose row sums reproduce ``p`` and column sums ``q``.
-    HiGHS runs once, without presolve, because presolve rejects feasible
-    systems whose marginals hold entries below its ~1e-7 tolerance.
+    The LP is the cost matrix's own HiGHS model.  This call writes the n+m
+    marginals into its row bounds, clears the previous solve's basis and
+    solves from scratch, so the result depends only on ``p``, ``q`` and the
+    costs, never on earlier calls.  HiGHS runs without presolve, because
+    presolve rejects feasible systems whose marginals hold entries below its
+    ~1e-7 tolerance.
     """
     if abs(p.mass() - 1.0) > _MARGINAL_TOL or abs(q.mass() - 1.0) > _MARGINAL_TOL:
         raise InfeasibleMarginals(
@@ -148,21 +184,22 @@ def emd(p: StochasticLanguage, q: StochasticLanguage, cost: CostMatrix) -> Trans
         raise ValueError(f"cost matrix does not cover {missing[:3]}")
 
     n, m = len(cost.rows), len(cost.cols)
-    a = np.zeros(n)
-    b = np.zeros(m)
+    marginals = np.zeros(n + m)
     for t, prob in p.probs.items():
-        a[row_idx[t]] = prob
+        marginals[row_idx[t]] = prob
     for t, prob in q.probs.items():
-        b[col_idx[t]] = prob
+        marginals[n + col_idx[t]] = prob
 
-    b_eq = np.concatenate([a, b])
-    res = linprog(
-        cost.cost.ravel(), A_eq=cost._a_eq, b_eq=b_eq, bounds=(0, None), method="highs", options={"presolve": False}
-    )
-    if res.status != 0:
-        raise InfeasibleMarginals(f"transportation LP failed: {res.message}")
-    plan = np.maximum(res.x.reshape(n, m), 0.0)
-    return TransportPlan(plan=plan, cost=float(res.fun))
+    lp = cost._lp
+    for row, value in enumerate(marginals.tolist()):
+        lp.changeRowBounds(row, value, value)
+    lp.clearSolver()
+    lp.run()
+    status = lp.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:
+        raise InfeasibleMarginals(f"transportation LP failed: {lp.modelStatusToString(status)}")
+    plan = np.maximum(np.array(lp.getSolution().col_value).reshape(n, m), 0.0)
+    return TransportPlan(plan=plan, cost=float(lp.getInfo().objective_function_value))
 
 
 def language_emd(p: StochasticLanguage, q: StochasticLanguage) -> TransportPlan:

@@ -111,7 +111,9 @@ class PrefixProduct:
     their arcs: they carry no target mass, and an exitless silent cycle among
     them would make the system singular.  The expected visits ``x`` of the
     keys solve ``(I - P^T) x = e_0``; P(σ) sums ``x * p`` over σ's hits.
-    Parallel arcs between two keys share one slot of the pattern.
+    Parallel arcs between two keys share one slot of the pattern.  The
+    matrix is built once and each solve overwrites its values in place, so
+    one product must not be solved by two threads at once.
     """
 
     def __init__(self, rg: ReachabilityGraph, targets: PrefixIndex):
@@ -154,10 +156,11 @@ class PrefixProduct:
         rows = np.concatenate([diag, renumber[kept[:, 1]]])
         cols = np.concatenate([diag, renumber[kept[:, 0]]])
         slots, slot_of = np.unique(cols * n + rows, return_inverse=True)
-        self._indices = (slots % n).astype(np.intc)  # SuperLU's index type: no cast per solve
-        self._indptr = np.searchsorted(slots // n, np.arange(n + 1)).astype(np.intc)
         self._identity = np.zeros(len(slots))
         self._identity[slot_of[:n]] = 1.0
+        indices = (slots % n).astype(np.intc)  # SuperLU's index type: no cast per solve
+        indptr = np.searchsorted(slots // n, np.arange(n + 1)).astype(np.intc)
+        self._matrix = sparse.csc_array((self._identity.copy(), indices, indptr), shape=(n, n))
         self._edge_slot = slot_of[n:]
         self._edge_arc = kept[:, 2]
         self._e0 = np.eye(1, n)[0]
@@ -173,11 +176,14 @@ class PrefixProduct:
         solve fails or gives a probability outside [0, 1]."""
         if not self._traces:
             return {}
-        n = len(self._e0)
         arc_prob = arg.arc_prob
-        data = self._identity - np.bincount(self._edge_slot, arc_prob[self._edge_arc], len(self._identity))
+        np.subtract(
+            self._identity,
+            np.bincount(self._edge_slot, arc_prob[self._edge_arc], len(self._identity)),
+            out=self._matrix.data,
+        )
         try:
-            lu = splu(sparse.csc_array((data, self._indices, self._indptr), shape=(n, n)), permc_spec="NATURAL")
+            lu = splu(self._matrix, permc_spec="NATURAL")
         except RuntimeError as exc:
             raise IllConditioned(f"trace probability solve failed: {exc}") from exc
         visits = lu.solve(self._e0)

@@ -3,7 +3,9 @@ import random
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+import swnopt.distances
 from swnopt.distances import (
     CostMatrix,
     InfeasibleMarginals,
@@ -18,8 +20,9 @@ from swnopt.distances import (
     truncated_emd,
 )
 from swnopt.logs import StochasticLanguage
+from swnopt.optimize import ObjectiveSpec, evaluate_objective
 from swnopt.semantics import annotate, build_rg
-from swnopt.unfolding import PrefixIndex, trace_probabilities
+from swnopt.unfolding import PrefixIndex, trace_probabilities, unfold_language
 
 from .fixtures import (
     PARALLEL_CHOICE_PROBS,
@@ -29,6 +32,7 @@ from .fixtures import (
     silent_livelock_wn,
 )
 from .oracles import levenshtein_recursive, mincost_transport_units, random_feasible_plan
+from .treegen import random_swn
 
 ENTROPY_FLOOR = -(2 * 0.15 * math.log(0.15) + 2 * 0.35 * math.log(0.35))  # 1.3040114826148388
 
@@ -90,6 +94,22 @@ def test_cost_matrix_validation():
         CostMatrix(rows, rows, np.zeros((2, 3)))
     with pytest.raises(ValueError, match="non-negative"):
         CostMatrix(rows, rows, np.array([[0.0, -1.0], [-1.0, 0.0]]))
+
+
+def test_cost_matrix_validation_names_first_offending_pair():
+    rng = np.random.default_rng(6)
+    traces = [(s,) for s in "abcdef"]
+    for _ in range(50):
+        rows = tuple(traces[k] for k in rng.choice(6, size=4, replace=False))
+        cols = tuple(traces[k] for k in rng.choice(6, size=5, replace=False))
+        cost = rng.choice([0.0, 0.5], size=(4, 5), p=[0.3, 0.7])
+        first = next(((r, c) for r, row in zip(rows, cost) for c, v in zip(cols, row) if (v == 0.0) != (r == c)), None)
+        if first is None:
+            CostMatrix(rows, cols, cost)
+            continue
+        with pytest.raises(ValueError) as excinfo:
+            CostMatrix(rows, cols, cost)
+        assert str(excinfo.value).endswith(f"violated at ({first[0]!r}, {first[1]!r})")
 
 
 def test_cost_matrix_is_read_only_copy():
@@ -170,6 +190,39 @@ def test_emd_solves_marginals_below_highs_tolerance():
     # on a line with cost |i - j| the EMD is the L1 distance between the CDFs
     closed_form = float(np.abs(np.cumsum(p_masses) - np.cumsum(q_masses))[:-1].sum())
     assert plan.cost == pytest.approx(closed_form, abs=1e-6)
+
+
+def _linprog_emd(a, b, cost):
+    """Reference EMD: the dense transportation LP handed to ``linprog``."""
+    n, m = cost.shape
+    a_eq = np.vstack([np.kron(np.eye(n), np.ones(m)), np.kron(np.ones(n), np.eye(m))])
+    res = linprog(
+        cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([a, b]), bounds=(0, None), method="highs",
+        options={"presolve": False},
+    )
+    assert res.status == 0, res.message
+    return res.fun
+
+
+@pytest.mark.parametrize("n,m", [(4, 4), (9, 5), (17, 23), (33, 33), (60, 60)])
+def test_emd_matches_linprog_oracle(n, m):
+    rng = np.random.default_rng(n * 100 + m)
+    words = set()
+    while len(words) < n + m:
+        words.add(tuple(rng.choice(list("abcd"), size=rng.integers(0, 7))))
+    words = sorted(words)
+    rows, cols = tuple(words[:n]), tuple(words[n - n // 2 : n - n // 2 + m])  # overlapping supports
+    cm = levenshtein_cost_matrix(rows, cols)
+    for _ in range(3):
+        a, b = rng.random(n) ** 3, rng.random(m) ** 3
+        a[rng.choice(n, size=2, replace=False)] = [3e-8, 1e-10]  # below HiGHS's 1e-7 tolerance
+        b[rng.integers(m)] = 5e-8
+        a, b = a / a.sum(), b / b.sum()
+        plan = emd(StochasticLanguage(dict(zip(rows, a))), StochasticLanguage(dict(zip(cols, b))), cm)
+        assert plan.cost == pytest.approx(_linprog_emd(a, b, cm.cost), abs=1e-12)
+        # marginals hold to HiGHS's primal feasibility tolerance
+        assert plan.plan.sum(axis=1) == pytest.approx(a, abs=1e-7)
+        assert plan.plan.sum(axis=0) == pytest.approx(b, abs=1e-7)
 
 
 def test_emd_beats_random_feasible_plans():
@@ -308,6 +361,45 @@ def test_remd_zero_model_mass():
     target = parallel_choice_language()
     with pytest.raises(ZeroModelMass):
         restricted_emd(target, {})
+
+
+def _remd_spec_at_support_60():
+    swn = random_swn(random.Random(2), 50, True, min_activities=10, min_transitions=30)
+    rg = build_rg(swn.wn)
+    lang = unfold_language(annotate(rg, swn.weight_vector()), coverage=0.95, max_trace_len=20)
+    top = sorted(lang.probs, key=lang.probs.get, reverse=True)[:60]
+    target = StochasticLanguage({t: lang.probs[t] for t in top}, residual=1.0 - sum(lang.probs[t] for t in top))
+    return ObjectiveSpec(measure="remd", wn=swn.wn, rg=rg, target=target.normalized())
+
+
+def test_remd_value_independent_of_evaluation_history():
+    spec = _remd_spec_at_support_60()
+    rng = np.random.default_rng(8)
+    probe = rng.uniform(0.1, 1.0, size=spec.n_weights)
+    values = []
+    for scale in (0.3, 3.0):  # two different histories, each ending at the probe
+        for _ in range(8):
+            evaluate_objective(spec, probe * np.exp(scale * rng.standard_normal(spec.n_weights)))
+        values.append(evaluate_objective(spec, probe))
+    assert values[0] == values[1]
+    assert 0.0 < values[0] < 1.0
+
+
+def test_transport_model_built_once_per_cost_matrix(monkeypatch):
+    passed = []
+
+    class CountingHighs(swnopt.distances.highs._Highs):
+        def passModel(self, lp):
+            passed.append(lp.num_col_)
+            return super().passModel(lp)
+
+    monkeypatch.setattr(swnopt.distances.highs, "_Highs", CountingHighs)
+    spec = ObjectiveSpec.for_net("remd", parallel_choice_wn(), parallel_choice_language())
+    assert passed == [16]
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        assert 0.0 <= evaluate_objective(spec, rng.uniform(0.1, 1.0, size=spec.n_weights)) <= 1.0
+    assert passed == [16]
 
 
 # -- truncated EMD ------------------------------------------------------------
