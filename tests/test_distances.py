@@ -209,7 +209,7 @@ def test_emd_matches_linprog_oracle(n, m):
     rng = np.random.default_rng(n * 100 + m)
     words = set()
     while len(words) < n + m:
-        words.add(tuple(rng.choice(list("abcd"), size=rng.integers(0, 7))))
+        words.add(tuple("".join(rng.choice(list("abcd"), size=rng.integers(0, 7)))))
     words = sorted(words)
     rows, cols = tuple(words[:n]), tuple(words[n - n // 2 : n - n // 2 + m])  # overlapping supports
     cm = levenshtein_cost_matrix(rows, cols)
@@ -363,17 +363,13 @@ def test_remd_zero_model_mass():
         restricted_emd(target, {})
 
 
-def _remd_spec_at_support_60():
+def test_remd_value_independent_of_evaluation_history():
     swn = random_swn(random.Random(2), 50, True, min_activities=10, min_transitions=30)
     rg = build_rg(swn.wn)
     lang = unfold_language(annotate(rg, swn.weight_vector()), coverage=0.95, max_trace_len=20)
-    top = sorted(lang.probs, key=lang.probs.get, reverse=True)[:60]
+    top = sorted(lang.probs, key=lang.probs.get, reverse=True)[:60]  # support 60
     target = StochasticLanguage({t: lang.probs[t] for t in top}, residual=1.0 - sum(lang.probs[t] for t in top))
-    return ObjectiveSpec(measure="remd", wn=swn.wn, rg=rg, target=target.normalized())
-
-
-def test_remd_value_independent_of_evaluation_history():
-    spec = _remd_spec_at_support_60()
+    spec = ObjectiveSpec(measure="remd", wn=swn.wn, rg=rg, target=target.normalized())
     rng = np.random.default_rng(8)
     probe = rng.uniform(0.1, 1.0, size=spec.n_weights)
     values = []
