@@ -100,6 +100,9 @@ class CostMatrix:
     #: transportation LP over the flattened plan: these costs, the (n+m) x nm
     #: marginal constraints (row sums, then column sums) and plan >= 0
     _lp: highs._Highs = field(init=False, repr=False, compare=False)
+    #: trace -> index in rows / cols, read by :func:`emd` to place the marginals
+    _row_idx: dict[Trace, int] = field(init=False, repr=False, compare=False)
+    _col_idx: dict[Trace, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cost = np.array(self.cost, dtype=np.float64)
@@ -121,6 +124,8 @@ class CostMatrix:
         cost.flags.writeable = False
         object.__setattr__(self, "cost", cost)
         object.__setattr__(self, "_lp", _transport_model(cost))
+        object.__setattr__(self, "_row_idx", {t: i for i, t in enumerate(self.rows)})
+        object.__setattr__(self, "_col_idx", {t: j for j, t in enumerate(self.cols)})
 
 
 def _transport_model(cost: np.ndarray) -> highs._Highs:
@@ -177,8 +182,7 @@ def emd(p: StochasticLanguage, q: StochasticLanguage, cost: CostMatrix) -> Trans
         raise InfeasibleMarginals(
             f"languages must be complete: masses {p.mass()}, {q.mass()}"
         )
-    row_idx = {t: i for i, t in enumerate(cost.rows)}
-    col_idx = {t: j for j, t in enumerate(cost.cols)}
+    row_idx, col_idx = cost._row_idx, cost._col_idx
     missing = [t for t in p.probs if t not in row_idx] + [t for t in q.probs if t not in col_idx]
     if missing:
         raise ValueError(f"cost matrix does not cover {missing[:3]}")

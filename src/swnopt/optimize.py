@@ -5,29 +5,35 @@ The objective is a pure function of the weight vector: annotate the
 reachability graph, solve for the probabilities of the target's support,
 measure the divergence (negative log likelihood, or EMD restricted
 to the log's support).  Weights enter only through ratios, so the surface is
-scale invariant; optimization happens in log-weight space, which keeps the
-weights positive without constraint machinery, and the reported weights are
-rescaled so the largest equals one.
+scale invariant; optimization happens in log-weight space, within the log of
+:data:`WEIGHT_BOUNDS` per weight, and the reported weights are rescaled so
+the largest equals one.
 
-The measure picks the local method (:data:`METHODS`):
+The measure picks the local method (:data:`METHODS`), one call to
+:func:`scipy.optimize.minimize` with these bounds:
 
-* ``lh``: ``fd-quasi-newton``, BFGS-style updates fed by central finite
-  differences, with a backtracking (Armijo) line search.  The likelihood
+* ``lh``: ``L-BFGS-B`` (Byrd, Lu, Nocedal & Zhu 1995), with the gradient
+  from central finite differences (``jac="3-point"``).  The likelihood
   clamps at ``P_CLAMP``; it scores ``INVALID_OBJECTIVE`` only where the
   trace probabilities are beyond float precision (near the weight bounds).
-* ``remd``: ``derivative-free``, cyclic coordinate sweeps, each a coarse
-  scan refined by golden section, for the kinked EMD surface.
+* ``remd``: ``Powell`` (Powell 1964), derivative-free conjugate directions,
+  for the kinked EMD surface, where a subgradient method stalls at the kinks.
 
-Both stop after ``max_iter`` accepted iterations, when the relative
-decrement of the objective falls below ``delta``, or when no improving step
-exists.  Every accepted iteration appends to the convergence trace, which is
-therefore non-increasing.
+Both stop after ``max_iter`` iterations or when scipy's ``ftol`` test,
+given ``delta``, holds for the relative decrement of the objective.  The
+result is the lowest value the minimization evaluated, which may lie below
+the method's last iterate (Powell under bounds can step back up).  The
+convergence trace starts with the value at the start and appends the best
+value seen so far after each iteration, plus one last row when an
+evaluation after the last iteration improved on it, so it is non-increasing
+and ends at the final value.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.optimize
 
 from .errors import ComputationError
 from .distances import CostMatrix, ZeroModelMass, levenshtein_cost_matrix, log_likelihood_divergence, restricted_emd
@@ -36,8 +42,8 @@ from .nets import WeightVector, WorkflowNet
 from .semantics import ReachabilityGraph, annotate, build_rg
 from .unfolding import IllConditioned, PrefixIndex, PrefixProduct
 
-#: The local method each measure is minimized with.
-METHODS = {"lh": "fd-quasi-newton", "remd": "derivative-free"}
+#: The scipy method each measure is minimized with.
+METHODS = {"lh": "L-BFGS-B", "remd": "Powell"}
 MEASURES = tuple(METHODS)
 STOP_MAX_ITER = "MaxIter"
 STOP_DELTA = "DeltaConverged"
@@ -52,14 +58,10 @@ INIT_LOW = 1e-3
 #: The local search keeps every weight within these bounds.
 WEIGHT_BOUNDS = (1e-9, 1e9)
 
-#: Grid points of the coarse scan that brackets each coordinate's minimum.
-_SCAN_POINTS = 12
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 class AllStartsInvalid(ComputationError):
-    """Every random start had zero model mass on the log support."""
+    """Every random start was invalid: zero model mass on the log support, or
+    trace probabilities too ill-conditioned to solve for."""
 
 
 @dataclass(frozen=True)
@@ -163,148 +165,53 @@ def select_start(spec: ObjectiveSpec, config: OptimizerConfig) -> WeightVector:
     values = [_score(spec, row) for row in starts]
     best = min(range(len(values)), key=lambda i: (values[i], i))
     if values[best] >= INVALID_OBJECTIVE:
-        raise AllStartsInvalid(f"all {config.n0} starts had zero model mass on the log")
+        raise AllStartsInvalid(
+            f"all {config.n0} starts had zero model mass on the log or ill-conditioned trace probabilities"
+        )
     return WeightVector(tuple(float(v) for v in starts[best]))
-
-
-def _central_gradient(f, x: np.ndarray) -> np.ndarray:
-    grad = np.empty_like(x)
-    for i in range(len(x)):
-        h = 1e-6 * max(1.0, abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        grad[i] = (f(xp) - f(xm)) / (2.0 * h)
-    return grad
-
-
-def _fd_quasi_newton(f, x0, fx0, lo, hi, max_iter, delta):
-    n = len(x0)
-    x, fx = x0.copy(), fx0
-    trace = [(0, fx)]
-    h_inv = np.eye(n)
-    identity = np.eye(n)
-    grad = _central_gradient(f, x)
-    stop = STOP_MAX_ITER
-
-    for it in range(1, max_iter + 1):
-        direction = -h_inv @ grad
-        slope = float(grad @ direction)
-        if slope >= 0.0:
-            h_inv = identity.copy()
-            direction = -grad
-            slope = float(grad @ direction)
-        if slope == 0.0:
-            stop = STOP_NO_IMPROVEMENT
-            break
-
-        step = 1.0
-        x_new = f_new = None
-        for _ in range(40):
-            cand = np.clip(x + step * direction, lo, hi)
-            f_cand = f(cand)
-            if f_cand < fx + 1e-4 * step * slope or f_cand < fx:
-                x_new, f_new = cand, f_cand
-                break
-            step *= 0.5
-        if x_new is None:
-            stop = STOP_NO_IMPROVEMENT
-            break
-
-        grad_new = _central_gradient(f, x_new)
-        s = x_new - x
-        y = grad_new - grad
-        sy = float(s @ y)
-        if sy > 1e-12:
-            rho = 1.0 / sy
-            left = identity - rho * np.outer(s, y)
-            h_inv = left @ h_inv @ left.T + rho * np.outer(s, s)
-
-        prev, x, fx, grad = fx, x_new, f_new, grad_new
-        trace.append((it, fx))
-        if fx == 0.0 or (fx > 0.0 and abs(fx - prev) / fx < delta):
-            stop = STOP_DELTA
-            break
-
-    return x, fx, stop, trace
-
-
-def _golden_section(g, a, b, tol=1e-6):
-    """Golden-section minimum of g on [a, b]; returns (x, g(x))."""
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    g1, g2 = g(x1), g(x2)
-    while b - a > tol:
-        if g1 <= g2:
-            b, x2, g2 = x2, x1, g1
-            x1 = b - _GOLDEN * (b - a)
-            g1 = g(x1)
-        else:
-            a, x1, g1 = x1, x2, g2
-            x2 = a + _GOLDEN * (b - a)
-            g2 = g(x2)
-    return (x1, g1) if g1 <= g2 else (x2, g2)
-
-
-def _coordinate_descent(f, x0, fx0, lo, hi, max_iter, delta):
-    x, fx = x0.copy(), fx0
-    trace = [(0, fx)]
-    stop = STOP_MAX_ITER
-
-    for it in range(1, max_iter + 1):
-        improved = False
-        for i in range(len(x)):
-
-            def g(v, i=i):
-                xi = x.copy()
-                xi[i] = v
-                return f(xi)
-
-            # coarse scan picks the bracket; golden section refines inside it
-            grid = np.linspace(lo[i], hi[i], _SCAN_POINTS)
-            values = [g(v) for v in grid]
-            k = int(np.argmin(values))
-            a = grid[max(k - 1, 0)]
-            b = grid[min(k + 1, _SCAN_POINTS - 1)]
-            v_best, g_best = _golden_section(g, a, b)
-            if values[k] < g_best:
-                v_best, g_best = grid[k], values[k]
-            if g_best < fx:
-                x[i] = v_best
-                fx = g_best
-                improved = True
-
-        if not improved:
-            stop = STOP_NO_IMPROVEMENT
-            break
-        prev = trace[-1][1]
-        trace.append((it, fx))
-        if fx == 0.0 or (fx > 0.0 and abs(fx - prev) / fx < delta):
-            stop = STOP_DELTA
-            break
-
-    return x, fx, stop, trace
 
 
 def minimize(spec: ObjectiveSpec, w0: WeightVector, config: OptimizerConfig) -> OptimizationResult:
     """Local minimization from ``w0`` in log-weight space within
-    :data:`WEIGHT_BOUNDS`, by the measure's method."""
+    :data:`WEIGHT_BOUNDS`, by the measure's method; returns the best point evaluated."""
     f = _guarded(spec)
-    lo = np.full(spec.n_weights, math.log(WEIGHT_BOUNDS[0]))
-    hi = np.full(spec.n_weights, math.log(WEIGHT_BOUNDS[1]))
+    lo, hi = math.log(WEIGHT_BOUNDS[0]), math.log(WEIGHT_BOUNDS[1])
     x0 = np.clip(np.log(np.asarray(w0.values, dtype=np.float64)), lo, hi)
-    fx0 = f(x0)
+    best = {"value": f(x0), "x": x0}
+    trace = [(0, best["value"])]
 
-    if METHODS[spec.measure] == "fd-quasi-newton":
-        x, fx, stop, trace = _fd_quasi_newton(f, x0, fx0, lo, hi, config.max_iter, config.delta)
+    def objective(x):
+        fx = f(x)
+        if fx < best["value"]:
+            best.update(value=fx, x=x.copy())
+        return fx
+
+    def callback(intermediate_result):  # scipy passes the iterate only under this name
+        trace.append((len(trace), best["value"]))
+
+    res = scipy.optimize.minimize(
+        objective,
+        x0,
+        method=METHODS[spec.measure],
+        jac="3-point" if spec.measure == "lh" else None,
+        bounds=[(lo, hi)] * spec.n_weights,
+        callback=callback,
+        options={"maxiter": config.max_iter, "ftol": config.delta},
+    )
+    if best["value"] < trace[-1][1]:
+        trace.append((len(trace), best["value"]))
+
+    if len(trace) - 1 >= config.max_iter:
+        stop = STOP_MAX_ITER
+    elif res.success:
+        stop = STOP_DELTA
     else:
-        x, fx, stop, trace = _coordinate_descent(f, x0, fx0, lo, hi, config.max_iter, config.delta)
-
-    weights = np.exp(x)
+        stop = STOP_NO_IMPROVEMENT
+    weights = np.exp(best["x"])
     weights = weights / weights.max()  # gauge: report with max weight 1
     return OptimizationResult(
         weights=WeightVector(tuple(float(v) for v in weights)),
-        final_value=fx,
+        final_value=best["value"],
         iterations=len(trace) - 1,
         stop_reason=stop,
         trace=tuple(trace),

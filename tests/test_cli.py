@@ -48,7 +48,7 @@ def test_discover_remd_reaches_zero(workdir):
     report = json.loads((workdir / "report.json").read_text())
     assert report["schema"] == "stochastic-weights/report/1"
     assert report["measure"] == "remd"
-    assert report["method"] == "derivative-free"
+    assert report["method"] == "Powell"
     assert report["final_value"] <= 1e-3
     assert report["stop_reason"] in ("MaxIter", "DeltaConverged", "NoImprovement")
     assert "timings" not in report  # deterministic by default
@@ -150,7 +150,7 @@ def test_discover_config_file_flags_win(workdir, capsys):
     assert report["seed"] == 11  # flag beats config
     assert report["n0"] == 2  # config beats default
     assert report["measure"] == "lh"
-    assert report["method"] == "fd-quasi-newton"  # the measure picks the method
+    assert report["method"] == "L-BFGS-B"  # the measure picks the method
     err = capsys.readouterr().err
     assert "warning: config key 'method' is not an option of discover; ignored" in err
 

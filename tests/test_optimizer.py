@@ -162,6 +162,59 @@ def test_minimize_reaches_reference_optima(measure):
     assert max(result.weights.values) == pytest.approx(1.0)
 
 
+def _two_loop_spec(measure):
+    return ObjectiveSpec.for_net(measure, two_loop_wn(), log_language(two_loop_log()))
+
+
+@pytest.mark.parametrize(
+    "spec,config",
+    [
+        # Powell under bounds returns an iterate (1.693e-6) above a point it evaluated (1.606e-6)
+        (lambda: _pc_spec("remd"), OptimizerConfig(n0=3, max_iter=6, delta=1e-3, seed=1)),
+        (lambda: _pc_spec("lh"), OptimizerConfig(n0=3, max_iter=6, delta=1e-3, seed=1)),
+        (lambda: _two_loop_spec("lh"), OptimizerConfig(max_iter=1, seed=42)),
+    ],
+    ids=["pc-remd", "pc-lh", "two-loop-lh"],
+)
+def test_minimize_reports_lowest_evaluated_value(monkeypatch, spec, config):
+    import swnopt.optimize
+
+    seen = []
+    original = swnopt.optimize._guarded
+
+    def recording(spec):
+        f = original(spec)
+
+        def g(x):
+            seen.append(f(x))
+            return seen[-1]
+
+        return g
+
+    monkeypatch.setattr(swnopt.optimize, "_guarded", recording)
+    spec = spec()
+    result = optimized_weights(spec, config)
+    values = [v for _, v in result.trace]
+    assert result.final_value == min(seen)
+    assert values[0] == seen[0]
+    assert all(b <= a for a, b in zip(values, values[1:]))
+    assert values[-1] == result.final_value
+    assert evaluate_objective(spec, result.weights) == pytest.approx(result.final_value, rel=1e-9, abs=1e-12)
+
+
+def test_two_loop_reaches_reference_values_at_benchmark_seed():
+    config = OptimizerConfig(n0=10, max_iter=50, delta=1e-3, seed=42)
+    assert optimized_weights(_two_loop_spec("lh"), config).final_value <= 3.93
+    assert optimized_weights(_two_loop_spec("remd"), config).final_value <= 1e-4
+
+
+def test_max_iter_one_stops_after_one_iteration():
+    result = optimized_weights(_two_loop_spec("lh"), OptimizerConfig(max_iter=1, seed=42))
+    assert result.stop_reason == "MaxIter"
+    assert result.iterations == 1
+    assert len(result.trace) == 2
+
+
 def test_minimize_constant_objective_stops_without_moving():
     spec = ObjectiveSpec.for_net("lh", single_transition_wn(), StochasticLanguage({("a",): 1.0}))
     w0 = WeightVector((0.5,))
@@ -195,8 +248,7 @@ def test_optimized_weights_deterministic():
 
 
 def test_two_loop_lh_improves_on_uniform_weights():
-    target = log_language(two_loop_log())
-    spec = ObjectiveSpec.for_net("lh", two_loop_wn(), target)
+    spec = _two_loop_spec("lh")
     uniform_value = evaluate_objective(spec, np.ones(9))
     result = optimized_weights(spec, OptimizerConfig(n0=10, max_iter=50, delta=1e-3, seed=5))
     assert result.final_value <= uniform_value
