@@ -186,7 +186,7 @@ def minimize(spec: ObjectiveSpec, w0: WeightVector, config: OptimizerConfig) -> 
             best.update(value=fx, x=x.copy())
         return fx
 
-    def callback(intermediate_result):  # scipy passes the iterate only under this name
+    def callback(intermediate_result):  # this name selects scipy's one-call-per-iteration OptimizeResult form
         trace.append((len(trace), best["value"]))
 
     res = scipy.optimize.minimize(

@@ -167,7 +167,7 @@ def _two_loop_spec(measure):
 
 
 @pytest.mark.parametrize(
-    "spec,config",
+    "make_spec,config",
     [
         # Powell under bounds returns an iterate (1.693e-6) above a point it evaluated (1.606e-6)
         (lambda: _pc_spec("remd"), OptimizerConfig(n0=3, max_iter=6, delta=1e-3, seed=1)),
@@ -176,14 +176,14 @@ def _two_loop_spec(measure):
     ],
     ids=["pc-remd", "pc-lh", "two-loop-lh"],
 )
-def test_minimize_reports_lowest_evaluated_value(monkeypatch, spec, config):
+def test_minimize_reports_lowest_evaluated_value(monkeypatch, make_spec, config):
     import swnopt.optimize
 
     seen = []
     original = swnopt.optimize._guarded
 
-    def recording(spec):
-        f = original(spec)
+    def recording(s):
+        f = original(s)
 
         def g(x):
             seen.append(f(x))
@@ -192,7 +192,7 @@ def test_minimize_reports_lowest_evaluated_value(monkeypatch, spec, config):
         return g
 
     monkeypatch.setattr(swnopt.optimize, "_guarded", recording)
-    spec = spec()
+    spec = make_spec()
     result = optimized_weights(spec, config)
     values = [v for _, v in result.trace]
     assert result.final_value == min(seen)
