@@ -247,6 +247,12 @@ def log_likelihood_divergence(target: StochasticLanguage, model_probs: dict[Trac
     return float(total)
 
 
+def log_likelihood_gradient(target: StochasticLanguage, model_probs: dict[Trace, float]) -> dict[Trace, float]:
+    """∂/∂P(σ) of :func:`log_likelihood_divergence` for each modelled trace σ:
+    -q(σ)/P(σ), and 0 where the clamp at ``P_CLAMP`` holds."""
+    return {t: -target.probs.get(t, 0.0) / p if p > P_CLAMP else 0.0 for t, p in model_probs.items()}
+
+
 def restricted_emd(
     target: StochasticLanguage, model_probs: dict[Trace, float], cost: CostMatrix | None = None
 ) -> DistanceReport:

@@ -12,10 +12,17 @@ the largest equals one.
 The measure picks the local method (:data:`METHODS`), one call to
 :func:`scipy.optimize.minimize` with these bounds:
 
-* ``lh``: ``L-BFGS-B`` (Byrd, Lu, Nocedal & Zhu 1995), with the gradient
-  from central finite differences (``jac="3-point"``).  The likelihood
-  clamps at ``P_CLAMP``; it scores ``INVALID_OBJECTIVE`` only where the
-  trace probabilities are beyond float precision (near the weight bounds).
+* ``lh``: ``L-BFGS-B`` (Byrd, Lu, Nocedal & Zhu 1995), with the exact
+  gradient over log-weights: the trace probabilities' LU factor gives
+  ∂lh/∂p for every arc by one transposed (adjoint) solve, chained through
+  the per-state normalization of the weights, so a value and its gradient
+  cost one factorization.  The likelihood clamps at ``P_CLAMP`` (a clamped
+  trace contributes no gradient); it scores ``INVALID_OBJECTIVE``, with a
+  zero gradient, only where the trace probabilities are beyond float
+  precision (near the weight bounds) or the gradient is not finite.  Such a
+  point is never an iterate: the start is valid and L-BFGS-B accepts only
+  points that lower the value, so it can only be a line-search trial, which
+  the line search rejects and shortens.
 * ``remd``: ``Powell`` (Powell 1964), derivative-free conjugate directions,
   for the kinked EMD surface, where a subgradient method stalls at the kinks.
 
@@ -36,10 +43,17 @@ import numpy as np
 import scipy.optimize
 
 from .errors import ComputationError
-from .distances import CostMatrix, ZeroModelMass, levenshtein_cost_matrix, log_likelihood_divergence, restricted_emd
+from .distances import (
+    CostMatrix,
+    ZeroModelMass,
+    levenshtein_cost_matrix,
+    log_likelihood_divergence,
+    log_likelihood_gradient,
+    restricted_emd,
+)
 from .logs import StochasticLanguage
 from .nets import WeightVector, WorkflowNet
-from .semantics import ReachabilityGraph, annotate, build_rg
+from .semantics import ReachabilityGraph, annotate, build_rg, log_weight_gradient
 from .unfolding import IllConditioned, PrefixIndex, PrefixProduct
 
 #: The scipy method each measure is minimized with.
@@ -148,6 +162,26 @@ def _score(spec: ObjectiveSpec, weights: np.ndarray) -> float:
         return INVALID_OBJECTIVE
 
 
+def _lh_value_and_gradient(spec: ObjectiveSpec, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """The lh objective at log-weights ``x`` and its exact gradient in ``x``.
+
+    The value is :func:`evaluate_objective`'s, bit for bit.  An
+    IllConditioned point, or one whose gradient is not finite, scores
+    ``(INVALID_OBJECTIVE, zeros)``: L-BFGS-B starts from a valid point and
+    accepts only lower values, so such a point is a rejected line-search
+    trial and its gradient is never used.
+    """
+    arg = annotate(spec.rg, np.exp(x))
+    try:
+        probs, pullback = spec._product.probabilities_with_pullback(arg)
+    except IllConditioned:
+        return INVALID_OBJECTIVE, np.zeros_like(x)
+    grad = log_weight_gradient(arg, pullback(log_likelihood_gradient(spec.target, probs)))
+    if not np.all(np.isfinite(grad)):
+        return INVALID_OBJECTIVE, np.zeros_like(x)
+    return log_likelihood_divergence(spec.target, probs), grad
+
+
 def _guarded(spec: ObjectiveSpec):
     """Objective over log-weights, scored as in :func:`_score`."""
     return lambda x: _score(spec, np.exp(x))
@@ -174,17 +208,21 @@ def select_start(spec: ObjectiveSpec, config: OptimizerConfig) -> WeightVector:
 def minimize(spec: ObjectiveSpec, w0: WeightVector, config: OptimizerConfig) -> OptimizationResult:
     """Local minimization from ``w0`` in log-weight space within
     :data:`WEIGHT_BOUNDS`, by the measure's method; returns the best point evaluated."""
-    f = _guarded(spec)
+    with_gradient = spec.measure == "lh"
+    f = (lambda x: _lh_value_and_gradient(spec, x)) if with_gradient else _guarded(spec)
     lo, hi = math.log(WEIGHT_BOUNDS[0]), math.log(WEIGHT_BOUNDS[1])
     x0 = np.clip(np.log(np.asarray(w0.values, dtype=np.float64)), lo, hi)
-    best = {"value": f(x0), "x": x0}
-    trace = [(0, best["value"])]
+    best = {"value": math.inf, "x": x0}
 
     def objective(x):
-        fx = f(x)
+        out = f(x)
+        fx = out[0] if with_gradient else out
         if fx < best["value"]:
             best.update(value=fx, x=x.copy())
-        return fx
+        return out
+
+    objective(x0)
+    trace = [(0, best["value"])]
 
     def callback(intermediate_result):  # this name selects scipy's one-call-per-iteration OptimizeResult form
         trace.append((len(trace), best["value"]))
@@ -193,7 +231,7 @@ def minimize(spec: ObjectiveSpec, w0: WeightVector, config: OptimizerConfig) -> 
         objective,
         x0,
         method=METHODS[spec.measure],
-        jac="3-point" if spec.measure == "lh" else None,
+        jac=with_gradient or None,
         bounds=[(lo, hi)] * spec.n_weights,
         callback=callback,
         options={"maxiter": config.max_iter, "ftol": config.delta},

@@ -226,6 +226,18 @@ def annotate(rg: ReachabilityGraph, weights: WeightVector | np.ndarray) -> Annot
     return AnnotatedRG(rg=rg, arc_prob=arc_prob)
 
 
+def log_weight_gradient(arg: AnnotatedRG, arc_grad: np.ndarray) -> np.ndarray:
+    """Chain ∂L/∂p per arc through :func:`annotate` to ∂L/∂log w per transition.
+
+    With p_a = w_t(a) / Σ_enabled w, ∂L/∂log w_j sums, over the arcs a of
+    transition j, p_a times (∂L/∂p_a minus the p-weighted mean of ∂L/∂p over
+    the arcs leaving a's source state).
+    """
+    rg, p = arg.rg, arg.arc_prob
+    mean_out = np.bincount(rg.arc_src, p * arc_grad, rg.n_states)
+    return np.bincount(rg.arc_tid, p * (arc_grad - mean_out[rg.arc_src]), len(rg.wn.net.transitions))
+
+
 def rg_to_dot(rg: ReachabilityGraph, arc_prob: np.ndarray | None = None) -> str:
     """GraphViz dump; state labels concatenate the marked place names."""
     lines = ["digraph rg {"]

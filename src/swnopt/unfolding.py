@@ -17,11 +17,11 @@
 """
 
 import math
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import SuperLU, splu
 
 from .errors import ComputationError
 from .logs import StochasticLanguage, Trace
@@ -111,9 +111,12 @@ class PrefixProduct:
     their arcs: they carry no target mass, and an exitless silent cycle among
     them would make the system singular.  The expected visits ``x`` of the
     keys solve ``(I - P^T) x = e_0``; P(σ) sums ``x * p`` over σ's hits.
-    Parallel arcs between two keys share one slot of the pattern.  The
-    matrix is built once and each solve overwrites its values in place, so
-    one product must not be solved by two threads at once.
+    The adjoint ``λ = (I - P^T)^{-T} c`` reuses the same LU factor, so the
+    gradient of any function of the P(σ) with respect to every arc
+    probability costs one more (transposed) solve.  Parallel arcs between
+    two keys share one slot of the pattern.  The matrix is built once and
+    each solve overwrites its values in place, so one product must not be
+    solved by two threads at once.
     """
 
     def __init__(self, rg: ReachabilityGraph, targets: PrefixIndex):
@@ -162,6 +165,7 @@ class PrefixProduct:
         indptr = np.searchsorted(slots // n, np.arange(n + 1)).astype(np.intc)
         self._matrix = sparse.csc_array((self._identity.copy(), indices, indptr), shape=(n, n))
         self._edge_slot = slot_of[n:]
+        self._edge_src, self._edge_dst = renumber[kept[:, 0]], renumber[kept[:, 1]]
         self._edge_arc = kept[:, 2]
         self._e0 = np.eye(1, n)[0]
 
@@ -170,13 +174,11 @@ class PrefixProduct:
         self._traces = [trie.trace_of(node) for node in nodes.tolist()]
         self._hit_key, self._hit_arc = renumber[hits[:, 0]], hits[:, 2]
 
-    def probabilities(self, arg: AnnotatedRG) -> dict[Trace, float]:
-        """Probability of each target trace the graph can produce; a target it
-        cannot produce is absent.  Raises :class:`IllConditioned` when the
-        solve fails or gives a probability outside [0, 1]."""
-        if not self._traces:
-            return {}
-        arc_prob = arg.arc_prob
+    def _solve(self, arc_prob: np.ndarray) -> tuple[np.ndarray, SuperLU, np.ndarray]:
+        """Probabilities in ``_traces`` order (clipped to [0, 1]), the LU factor
+        of ``I - P^T`` and the expected visits of the keys.  Raises
+        :class:`IllConditioned` when the solve fails or gives a probability
+        outside [0, 1]."""
         np.subtract(
             self._identity,
             np.bincount(self._edge_slot, arc_prob[self._edge_arc], len(self._identity)),
@@ -190,7 +192,44 @@ class PrefixProduct:
         probs = np.bincount(self._hit_group, visits[self._hit_key] * arc_prob[self._hit_arc], len(self._traces))
         if not np.all((probs >= -_PROB_TOL) & (probs <= 1.0 + _PROB_TOL)):
             raise IllConditioned(f"trace probability solve left [0, 1]: {probs.min()} .. {probs.max()}")
-        return dict(zip(self._traces, np.clip(probs, 0.0, 1.0).tolist()))
+        return np.clip(probs, 0.0, 1.0), lu, visits
+
+    def probabilities(self, arg: AnnotatedRG) -> dict[Trace, float]:
+        """Probability of each target trace the graph can produce; a target it
+        cannot produce is absent.  Raises :class:`IllConditioned` when the
+        solve fails or gives a probability outside [0, 1]."""
+        if not self._traces:
+            return {}
+        probs, _, _ = self._solve(arg.arc_prob)
+        return dict(zip(self._traces, probs.tolist()))
+
+    def probabilities_with_pullback(
+        self, arg: AnnotatedRG
+    ) -> tuple[dict[Trace, float], Callable[[dict[Trace, float]], np.ndarray]]:
+        """:meth:`probabilities`, plus the map from ∂L/∂P(σ) per trace to
+        ∂L/∂p per arc of ``arg`` for any L of these probabilities.
+
+        The map is one transposed solve on the factor already computed: with
+        ``c`` the trace gradients weighted by each hit's arc probability at
+        the hit's key, ``λ = (I - P^T)^{-T} c``, and an arc gets its hits'
+        ``∂L/∂P(σ) * x[key]`` plus its edges' ``λ[dst] * x[src]``.  Traces
+        the graph cannot produce have no arcs to credit and are ignored.
+        """
+        arc_prob = arg.arc_prob
+        n_arcs = len(arc_prob)
+        if not self._traces:
+            return {}, lambda trace_grad: np.zeros(n_arcs)
+        probs, lu, visits = self._solve(arc_prob)
+
+        def pullback(trace_grad: dict[Trace, float]) -> np.ndarray:
+            hit_grad = np.array([trace_grad.get(t, 0.0) for t in self._traces])[self._hit_group]
+            c = np.bincount(self._hit_key, hit_grad * arc_prob[self._hit_arc], len(visits))
+            adjoint = lu.solve(c, trans="T")
+            arc_grad = np.bincount(self._hit_arc, hit_grad * visits[self._hit_key], n_arcs)
+            arc_grad += np.bincount(self._edge_arc, adjoint[self._edge_dst] * visits[self._edge_src], n_arcs)
+            return arc_grad
+
+        return dict(zip(self._traces, probs.tolist())), pullback
 
 
 def trace_probabilities(arg: AnnotatedRG, targets: PrefixIndex) -> dict[Trace, float]:
