@@ -1,8 +1,12 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
+import swnopt.optimize
+import swnopt.unfolding
+from swnopt.distances import P_CLAMP, log_likelihood_gradient
 from swnopt.logs import StochasticLanguage, log_language
 from swnopt.nets import WeightVector
 from swnopt.optimize import (
@@ -18,6 +22,8 @@ from swnopt.optimize import (
     optimized_weights,
     select_start,
 )
+from swnopt.semantics import annotate, build_rg
+from swnopt.unfolding import IllConditioned, PrefixProduct, unfold_language
 
 from .fixtures import (
     PARALLEL_CHOICE_WEIGHTS,
@@ -29,6 +35,7 @@ from .fixtures import (
 )
 from .oracles import mincost_transport_units
 from .test_distances import ENTROPY_FLOOR
+from .treegen import random_swn
 
 
 def _pc_spec(measure):
@@ -140,7 +147,7 @@ def test_zero_model_mass_scored_as_large_value():
     from swnopt.optimize import _guarded
 
     assert _guarded(spec)(np.zeros(1)) == INVALID_OBJECTIVE
-    # lh clamps instead, so quasi-Newton never differences an invalid point
+    # lh clamps instead, so a zero-mass point keeps a finite value
     lh = _guarded(ObjectiveSpec.for_net("lh", single_transition_wn(), target))(np.zeros(1))
     assert lh == -math.log(P_CLAMP)
     assert lh < INVALID_OBJECTIVE
@@ -177,8 +184,6 @@ def _two_loop_spec(measure):
     ids=["pc-remd", "pc-lh", "two-loop-lh"],
 )
 def test_minimize_reports_lowest_evaluated_value(monkeypatch, make_spec, config):
-    import swnopt.optimize
-
     seen = []
     original = swnopt.optimize._guarded
 
@@ -191,7 +196,15 @@ def test_minimize_reports_lowest_evaluated_value(monkeypatch, make_spec, config)
 
         return g
 
+    original_with_gradient = swnopt.optimize._lh_value_and_gradient
+
+    def recording_with_gradient(s, x):
+        value, grad = original_with_gradient(s, x)
+        seen.append(value)
+        return value, grad
+
     monkeypatch.setattr(swnopt.optimize, "_guarded", recording)
+    monkeypatch.setattr(swnopt.optimize, "_lh_value_and_gradient", recording_with_gradient)
     spec = make_spec()
     result = optimized_weights(spec, config)
     values = [v for _, v in result.trace]
@@ -299,3 +312,173 @@ def test_convergence_traces_non_increasing_many_seeds():
         result = optimized_weights(pc_lh, OptimizerConfig(n0=5, max_iter=15, seed=seed))
         values = [v for _, v in result.trace]
         assert all(b <= a for a, b in zip(values, values[1:]))
+
+
+# --- exact lh gradient ------------------------------------------------------
+
+
+def _treegen_lh_spec(seed):
+    """lh spec on a 30-50 transition generated net; the target is the top 40
+    traces of its language under uniform weights, renormalized."""
+    wn = random_swn(random.Random(seed), 50, True, min_activities=10, min_transitions=30).wn
+    rg = build_rg(wn)
+    language = unfold_language(annotate(rg, np.ones(len(wn.net.transitions))), coverage=0.95, max_trace_len=20)
+    top = sorted(language.probs.items(), key=lambda kv: -kv[1])[:40]
+    mass = sum(p for _, p in top)
+    return ObjectiveSpec(measure="lh", wn=wn, rg=rg, target=StochasticLanguage({t: p / mass for t, p in top}))
+
+
+def _has_cycle(rg):
+    indegree = np.bincount(rg.arc_dst, minlength=rg.n_states)
+    ready = [s for s in range(rg.n_states) if indegree[s] == 0]
+    removed = 0
+    while ready:
+        s = ready.pop()
+        removed += 1
+        for d in rg.arc_dst[rg.out_start[s] : rg.out_start[s + 1]]:
+            indegree[d] -= 1
+            if indegree[d] == 0:
+                ready.append(d)
+    return removed < rg.n_states
+
+
+_GRADIENT_SPECS = {
+    "parallel-choice": lambda: _pc_spec("lh"),
+    "two-loop": lambda: _two_loop_spec("lh"),
+    **{f"treegen-{seed}": (lambda seed=seed: _treegen_lh_spec(seed)) for seed in (1, 2, 3)},
+}
+
+
+def _central(spec, x, h=1e-6):
+    grad = np.empty_like(x)
+    for i in range(len(x)):
+        up, down = x.copy(), x.copy()
+        up[i] += h
+        down[i] -= h
+        grad[i] = (evaluate_objective(spec, np.exp(up)) - evaluate_objective(spec, np.exp(down))) / (2 * h)
+    return grad
+
+
+@pytest.mark.parametrize("name", list(_GRADIENT_SPECS))
+def test_lh_gradient_matches_central_differences(name):
+    spec = _GRADIENT_SPECS[name]()
+    if name.startswith("treegen"):  # the nets the adjoint must handle: silent arcs inside cycles
+        assert any(label is None for label in spec.wn.net.labeling.values())
+        assert _has_cycle(spec.rg)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        x = np.log(rng.uniform(0.05, 1.0, spec.n_weights))
+        assert min(spec._product.probabilities(annotate(spec.rg, np.exp(x))).values()) > 1e3 * P_CLAMP
+        value, grad = swnopt.optimize._lh_value_and_gradient(spec, x)
+        assert value == evaluate_objective(spec, np.exp(x))  # bit for bit
+        reference = _central(spec, x)
+        assert np.max(np.abs(grad - reference)) <= 1e-6 * np.max(np.abs(reference))
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """A list that grows by one per sparse LU factorization of a trace-probability solve."""
+    calls = []
+    original = swnopt.unfolding.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(swnopt.unfolding, "splu", counting)
+    return calls
+
+
+def test_lh_value_and_gradient_factors_once(splu_calls):
+    spec = _treegen_lh_spec(1)
+    swnopt.optimize._lh_value_and_gradient(spec, np.zeros(spec.n_weights))
+    assert len(splu_calls) == 1
+
+
+def test_clamped_target_trace_contributes_no_gradient():
+    assert log_likelihood_gradient(StochasticLanguage({("a",): 0.5, ("b",): 0.5}), {("a",): 1e-13, ("b",): 0.25}) == {
+        ("a",): 0.0,
+        ("b",): -2.0,
+    }
+    # d nearly never fires, so ⟨a,b,d⟩ and ⟨a,d,b⟩ sit below P_CLAMP: their
+    # clamped terms are constant, and the d component is left near zero
+    spec = _pc_spec("lh")
+    x = np.log(np.array([1.0, 0.3, 0.35, 1e-14, 1.0]))
+    probs = spec._product.probabilities(annotate(spec.rg, np.exp(x)))
+    assert probs[("a", "b", "d")] < P_CLAMP and probs[("a", "d", "b")] < P_CLAMP
+    _, grad = swnopt.optimize._lh_value_and_gradient(spec, x)
+    reference = _central(spec, x)
+    assert np.max(np.abs(grad - reference)) <= 1e-6 * np.max(np.abs(reference))
+    assert abs(grad[3]) <= 1e-9
+
+
+def _failing_far_from_start(monkeypatch, radius):
+    """Make the trace-probability solve raise IllConditioned once any arc
+    probability moves more than ``radius`` from the first one it solves for."""
+    state = {"start": None, "raised": 0}
+    original = PrefixProduct._solve
+
+    def solve(self, arc_prob):
+        if state["start"] is None:
+            state["start"] = arc_prob.copy()
+        if np.max(np.abs(arc_prob - state["start"])) > radius:
+            state["raised"] += 1
+            raise IllConditioned("test: beyond the trust radius")
+        return original(self, arc_prob)
+
+    monkeypatch.setattr(PrefixProduct, "_solve", solve)
+    return state
+
+
+def test_lh_minimize_survives_invalid_line_search_trials(monkeypatch):
+    spec = _two_loop_spec("lh")
+    w0 = WeightVector(tuple(np.random.default_rng(1).uniform(0.2, 1.0, spec.n_weights)))
+    radius = 0.05
+    state = _failing_far_from_start(monkeypatch, radius)
+    result = minimize(spec, w0, OptimizerConfig(max_iter=20, seed=0))
+    assert state["raised"] > 0
+    assert math.isfinite(result.final_value) and result.final_value < INVALID_OBJECTIVE
+    assert result.final_value < evaluate_objective(spec, w0)
+    reached = annotate(spec.rg, result.weights).arc_prob
+    assert np.max(np.abs(reached - state["start"])) <= radius
+    assert evaluate_objective(spec, result.weights) == pytest.approx(result.final_value, rel=1e-9)
+
+
+def test_lh_non_finite_gradient_is_scored_invalid(monkeypatch):
+    spec = _two_loop_spec("lh")
+    original = swnopt.optimize.log_weight_gradient
+    calls = []
+
+    def poisoned(arg, arc_grad):
+        calls.append(1)
+        grad = original(arg, arc_grad)
+        return grad if len(calls) % 3 else np.full_like(grad, np.nan)
+
+    monkeypatch.setattr(swnopt.optimize, "log_weight_gradient", poisoned)
+    x = np.zeros(spec.n_weights)
+    assert swnopt.optimize._lh_value_and_gradient(spec, x)[0] < INVALID_OBJECTIVE
+    assert swnopt.optimize._lh_value_and_gradient(spec, x)[0] < INVALID_OBJECTIVE
+    value, grad = swnopt.optimize._lh_value_and_gradient(spec, x)
+    assert value == INVALID_OBJECTIVE
+    assert np.array_equal(grad, np.zeros(spec.n_weights))
+
+    returned = []
+    checked = swnopt.optimize._lh_value_and_gradient
+
+    def recording(s, point):
+        returned.append(checked(s, point))
+        return returned[-1]
+
+    monkeypatch.setattr(swnopt.optimize, "_lh_value_and_gradient", recording)
+    w0 = WeightVector(tuple(np.random.default_rng(1).uniform(0.2, 1.0, spec.n_weights)))
+    result = minimize(spec, w0, OptimizerConfig(max_iter=20, seed=0))
+    assert any(value == INVALID_OBJECTIVE for value, _ in returned)
+    assert all(np.all(np.isfinite(grad)) for _, grad in returned)
+    assert math.isfinite(result.final_value) and result.final_value < evaluate_objective(spec, w0)
+
+
+def test_two_loop_lh_needs_few_factorizations(splu_calls):
+    # one splu per value-and-gradient point; 3-point differences needed 315
+    result = optimized_weights(_two_loop_spec("lh"), OptimizerConfig(n0=10, max_iter=50, delta=1e-3, seed=42))
+    assert len(splu_calls) <= 40
+    assert result.final_value <= 3.93
