@@ -140,7 +140,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
     rg = build_rg(wn, state_cap=opts.get("state_cap", DEFAULT_STATE_CAP, int))
     timings["rg"] = time.perf_counter() - t0
 
-    spec = ObjectiveSpec(measure=measure, wn=wn, rg=rg, target=target)
+    spec = ObjectiveSpec(measure=measure, rg=rg, target=target)
     config = OptimizerConfig(
         n0=opts.get("n0", 10, int),
         max_iter=opts.get("max_iter", 50, int),

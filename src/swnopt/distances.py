@@ -23,7 +23,7 @@
   coverage threshold; used for evaluation, not optimization.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.optimize._highspy import _core as highs  # private module, shipped since scipy 1.15
@@ -229,12 +229,7 @@ class DistanceReport:
     coverage_used: float | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "value": self.value,
-            "model_mass_on_log": self.model_mass_on_log,
-            "coverage_used": self.coverage_used,
-        }
+        return asdict(self)
 
 
 def log_likelihood_divergence(target: StochasticLanguage, model_probs: dict[Trace, float]) -> float:

@@ -118,11 +118,6 @@ def parse_xes(data: bytes | str) -> EventLog:
     The activity of an event is its "concept:name" string attribute; event
     order is document order.  Lifecycle and other attributes are ignored.
     """
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedXes(f"not valid UTF-8: {exc}") from exc
     try:
         root = ET.fromstring(data)
     except ET.ParseError as exc:

@@ -9,6 +9,13 @@ scale invariant; optimization happens in log-weight space, within the log of
 :data:`WEIGHT_BOUNDS` per weight, and the reported weights are rescaled so
 the largest equals one.
 
+Every point is scored by one call to :func:`evaluate_objective`, which gives
+the value or, with ``gradient=True`` (lh), the value and its gradient over
+log-weights.  :func:`_score` is its one guard: it scores a point the
+objective cannot score ``INVALID_OBJECTIVE``.  Both :func:`select_start` and
+:func:`minimize` score through it, and the start of the minimization is
+scored once, by scipy's first call.
+
 The measure picks the local method (:data:`METHODS`), one call to
 :func:`scipy.optimize.minimize` with these bounds:
 
@@ -88,7 +95,6 @@ class ObjectiveSpec:
     """
 
     measure: str
-    wn: WorkflowNet
     rg: ReachabilityGraph
     target: StochasticLanguage
     _product: PrefixProduct = field(init=False, repr=False, compare=False)
@@ -106,11 +112,11 @@ class ObjectiveSpec:
 
     @classmethod
     def for_net(cls, measure: str, wn: WorkflowNet, target: StochasticLanguage) -> "ObjectiveSpec":
-        return cls(measure=measure, wn=wn, rg=build_rg(wn), target=target)
+        return cls(measure=measure, rg=build_rg(wn), target=target)
 
     @property
     def n_weights(self) -> int:
-        return len(self.wn.net.transitions)
+        return len(self.rg.wn.net.transitions)
 
 
 @dataclass(frozen=True)
@@ -146,45 +152,36 @@ class OptimizationResult:
         return "\n".join(lines) + "\n"
 
 
-def evaluate_objective(spec: ObjectiveSpec, weights: WeightVector | np.ndarray) -> float:
-    """Divergence of the net under the given weights; pure in ``weights``."""
-    probs = spec._product.probabilities(annotate(spec.rg, weights))
-    if spec.measure == "lh":
-        return log_likelihood_divergence(spec.target, probs)
-    return restricted_emd(spec.target, probs, spec._cost).value
+def evaluate_objective(
+    spec: ObjectiveSpec, weights: WeightVector | np.ndarray, gradient: bool = False
+) -> float | tuple[float, np.ndarray]:
+    """Divergence of the net under the given weights; pure in ``weights``.
 
-
-def _score(spec: ObjectiveSpec, weights: np.ndarray) -> float:
-    """The objective, with ZeroModelMass and IllConditioned points scored INVALID_OBJECTIVE."""
-    try:
-        return evaluate_objective(spec, weights)
-    except (ZeroModelMass, IllConditioned):
-        return INVALID_OBJECTIVE
-
-
-def _lh_value_and_gradient(spec: ObjectiveSpec, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """The lh objective at log-weights ``x`` and its exact gradient in ``x``.
-
-    The value is :func:`evaluate_objective`'s, bit for bit.  An
-    IllConditioned point, or one whose gradient is not finite, scores
-    ``(INVALID_OBJECTIVE, zeros)``: L-BFGS-B starts from a valid point and
-    accepts only lower values, so such a point is a rejected line-search
-    trial and its gradient is never used.
+    With ``gradient`` (lh only) it returns ``(value, ∂value/∂log w)``, both
+    from the one LU factor of the trace-probability solve.
     """
-    arg = annotate(spec.rg, np.exp(x))
+    if gradient and spec.measure != "lh":
+        raise ValueError(f"{spec.measure} has no gradient; only lh does")
+    arg = annotate(spec.rg, weights)
+    probs, pullback = spec._product.probabilities_with_pullback(arg)
+    if spec.measure == "remd":
+        return restricted_emd(spec.target, probs, spec._cost).value
+    value = log_likelihood_divergence(spec.target, probs)
+    if not gradient:
+        return value
+    return value, log_weight_gradient(arg, pullback(log_likelihood_gradient(spec.target, probs)))
+
+
+def _score(spec: ObjectiveSpec, weights: np.ndarray, gradient: bool = False) -> float | tuple[float, np.ndarray]:
+    """:func:`evaluate_objective`, with a point it cannot score (ZeroModelMass,
+    IllConditioned, or a gradient that is not finite) scored INVALID_OBJECTIVE,
+    with a zero gradient when one was asked for."""
+    invalid = (INVALID_OBJECTIVE, np.zeros(spec.n_weights)) if gradient else INVALID_OBJECTIVE
     try:
-        probs, pullback = spec._product.probabilities_with_pullback(arg)
-    except IllConditioned:
-        return INVALID_OBJECTIVE, np.zeros_like(x)
-    grad = log_weight_gradient(arg, pullback(log_likelihood_gradient(spec.target, probs)))
-    if not np.all(np.isfinite(grad)):
-        return INVALID_OBJECTIVE, np.zeros_like(x)
-    return log_likelihood_divergence(spec.target, probs), grad
-
-
-def _guarded(spec: ObjectiveSpec):
-    """Objective over log-weights, scored as in :func:`_score`."""
-    return lambda x: _score(spec, np.exp(x))
+        scored = evaluate_objective(spec, weights, gradient=gradient)
+    except (ZeroModelMass, IllConditioned):
+        return invalid
+    return invalid if gradient and not np.all(np.isfinite(scored[1])) else scored
 
 
 def draw_starts(spec: ObjectiveSpec, config: OptimizerConfig) -> np.ndarray:
@@ -209,20 +206,19 @@ def minimize(spec: ObjectiveSpec, w0: WeightVector, config: OptimizerConfig) -> 
     """Local minimization from ``w0`` in log-weight space within
     :data:`WEIGHT_BOUNDS`, by the measure's method; returns the best point evaluated."""
     with_gradient = spec.measure == "lh"
-    f = (lambda x: _lh_value_and_gradient(spec, x)) if with_gradient else _guarded(spec)
     lo, hi = math.log(WEIGHT_BOUNDS[0]), math.log(WEIGHT_BOUNDS[1])
     x0 = np.clip(np.log(np.asarray(w0.values, dtype=np.float64)), lo, hi)
     best = {"value": math.inf, "x": x0}
+    trace = []
 
     def objective(x):
-        out = f(x)
+        out = _score(spec, np.exp(x), gradient=with_gradient)
         fx = out[0] if with_gradient else out
         if fx < best["value"]:
             best.update(value=fx, x=x.copy())
+        if not trace:  # scipy's first call scores x0
+            trace.append((0, fx))
         return out
-
-    objective(x0)
-    trace = [(0, best["value"])]
 
     def callback(intermediate_result):  # this name selects scipy's one-call-per-iteration OptimizeResult form
         trace.append((len(trace), best["value"]))

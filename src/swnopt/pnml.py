@@ -88,11 +88,6 @@ def _warn_unknown(elem, context: str) -> None:
 
 def parse_pnml(data: bytes | str) -> ParsedPnml:
     """Parse a PNML document into a :class:`LabeledPetriNet` plus annotations."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedPnml(f"not valid UTF-8: {exc}") from exc
     try:
         root = ET.fromstring(data)
     except ET.ParseError as exc:

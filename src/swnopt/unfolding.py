@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import SuperLU, splu
+from scipy.sparse.linalg import splu
 
 from .errors import ComputationError
 from .logs import StochasticLanguage, Trace
@@ -174,34 +174,11 @@ class PrefixProduct:
         self._traces = [trie.trace_of(node) for node in nodes.tolist()]
         self._hit_key, self._hit_arc = renumber[hits[:, 0]], hits[:, 2]
 
-    def _solve(self, arc_prob: np.ndarray) -> tuple[np.ndarray, SuperLU, np.ndarray]:
-        """Probabilities in ``_traces`` order (clipped to [0, 1]), the LU factor
-        of ``I - P^T`` and the expected visits of the keys.  Raises
-        :class:`IllConditioned` when the solve fails or gives a probability
-        outside [0, 1]."""
-        np.subtract(
-            self._identity,
-            np.bincount(self._edge_slot, arc_prob[self._edge_arc], len(self._identity)),
-            out=self._matrix.data,
-        )
-        try:
-            lu = splu(self._matrix, permc_spec="NATURAL")
-        except RuntimeError as exc:
-            raise IllConditioned(f"trace probability solve failed: {exc}") from exc
-        visits = lu.solve(self._e0)
-        probs = np.bincount(self._hit_group, visits[self._hit_key] * arc_prob[self._hit_arc], len(self._traces))
-        if not np.all((probs >= -_PROB_TOL) & (probs <= 1.0 + _PROB_TOL)):
-            raise IllConditioned(f"trace probability solve left [0, 1]: {probs.min()} .. {probs.max()}")
-        return np.clip(probs, 0.0, 1.0), lu, visits
-
     def probabilities(self, arg: AnnotatedRG) -> dict[Trace, float]:
         """Probability of each target trace the graph can produce; a target it
         cannot produce is absent.  Raises :class:`IllConditioned` when the
         solve fails or gives a probability outside [0, 1]."""
-        if not self._traces:
-            return {}
-        probs, _, _ = self._solve(arg.arc_prob)
-        return dict(zip(self._traces, probs.tolist()))
+        return self.probabilities_with_pullback(arg)[0]
 
     def probabilities_with_pullback(
         self, arg: AnnotatedRG
@@ -219,7 +196,19 @@ class PrefixProduct:
         n_arcs = len(arc_prob)
         if not self._traces:
             return {}, lambda trace_grad: np.zeros(n_arcs)
-        probs, lu, visits = self._solve(arc_prob)
+        np.subtract(
+            self._identity,
+            np.bincount(self._edge_slot, arc_prob[self._edge_arc], len(self._identity)),
+            out=self._matrix.data,
+        )
+        try:
+            lu = splu(self._matrix, permc_spec="NATURAL")
+        except RuntimeError as exc:
+            raise IllConditioned(f"trace probability solve failed: {exc}") from exc
+        visits = lu.solve(self._e0)
+        probs = np.bincount(self._hit_group, visits[self._hit_key] * arc_prob[self._hit_arc], len(self._traces))
+        if not np.all((probs >= -_PROB_TOL) & (probs <= 1.0 + _PROB_TOL)):
+            raise IllConditioned(f"trace probability solve left [0, 1]: {probs.min()} .. {probs.max()}")
 
         def pullback(trace_grad: dict[Trace, float]) -> np.ndarray:
             hit_grad = np.array([trace_grad.get(t, 0.0) for t in self._traces])[self._hit_group]
@@ -229,7 +218,7 @@ class PrefixProduct:
             arc_grad += np.bincount(self._edge_arc, adjoint[self._edge_dst] * visits[self._edge_src], n_arcs)
             return arc_grad
 
-        return dict(zip(self._traces, probs.tolist())), pullback
+        return dict(zip(self._traces, np.clip(probs, 0.0, 1.0).tolist())), pullback
 
 
 def trace_probabilities(arg: AnnotatedRG, targets: PrefixIndex) -> dict[Trace, float]:

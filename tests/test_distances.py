@@ -369,7 +369,7 @@ def test_remd_value_independent_of_evaluation_history():
     lang = unfold_language(annotate(rg, swn.weight_vector()), coverage=0.95, max_trace_len=20)
     top = sorted(lang.probs, key=lang.probs.get, reverse=True)[:60]  # support 60
     target = StochasticLanguage({t: lang.probs[t] for t in top}, residual=1.0 - sum(lang.probs[t] for t in top))
-    spec = ObjectiveSpec(measure="remd", wn=swn.wn, rg=rg, target=target.normalized())
+    spec = ObjectiveSpec(measure="remd", rg=rg, target=target.normalized())
     rng = np.random.default_rng(8)
     probe = rng.uniform(0.1, 1.0, size=spec.n_weights)
     values = []

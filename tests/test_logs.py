@@ -114,6 +114,13 @@ def test_parse_xes_malformed():
         parse_xes("<notalog/>")
 
 
+def test_parse_xes_honours_declared_encoding():
+    doc = '<?xml version="1.0" encoding="ISO-8859-1"?><log><trace><event><string key="concept:name" value="café"/></event></trace></log>'
+    assert parse_xes(doc.encode("iso-8859-1")).entries == {("café",): 1}
+    with pytest.raises(MalformedXes):  # bytes that are not UTF-8 in an undeclared (UTF-8) document
+        parse_xes(doc.replace(' encoding="ISO-8859-1"', "").encode("iso-8859-1"))
+
+
 def test_parse_xes_empty_trace_allowed():
     log = parse_xes(XES.format(traces="<trace/>"))
     assert log.entries == {(): 1}

@@ -144,11 +144,11 @@ def test_zero_model_mass_scored_as_large_value():
     target = StochasticLanguage({("b",): 1.0})
     spec = ObjectiveSpec.for_net("remd", single_transition_wn(), target)
     from swnopt.distances import P_CLAMP
-    from swnopt.optimize import _guarded
+    from swnopt.optimize import _score
 
-    assert _guarded(spec)(np.zeros(1)) == INVALID_OBJECTIVE
+    assert _score(spec, np.ones(1)) == INVALID_OBJECTIVE
     # lh clamps instead, so a zero-mass point keeps a finite value
-    lh = _guarded(ObjectiveSpec.for_net("lh", single_transition_wn(), target))(np.zeros(1))
+    lh = _score(ObjectiveSpec.for_net("lh", single_transition_wn(), target), np.ones(1))
     assert lh == -math.log(P_CLAMP)
     assert lh < INVALID_OBJECTIVE
 
@@ -185,28 +185,17 @@ def _two_loop_spec(measure):
 )
 def test_minimize_reports_lowest_evaluated_value(monkeypatch, make_spec, config):
     seen = []
-    original = swnopt.optimize._guarded
+    original = swnopt.optimize._score
 
-    def recording(s):
-        f = original(s)
+    def recording(s, weights, gradient=False):
+        out = original(s, weights, gradient)
+        seen.append(out[0] if gradient else out)
+        return out
 
-        def g(x):
-            seen.append(f(x))
-            return seen[-1]
-
-        return g
-
-    original_with_gradient = swnopt.optimize._lh_value_and_gradient
-
-    def recording_with_gradient(s, x):
-        value, grad = original_with_gradient(s, x)
-        seen.append(value)
-        return value, grad
-
-    monkeypatch.setattr(swnopt.optimize, "_guarded", recording)
-    monkeypatch.setattr(swnopt.optimize, "_lh_value_and_gradient", recording_with_gradient)
     spec = make_spec()
-    result = optimized_weights(spec, config)
+    w0 = select_start(spec, config)
+    monkeypatch.setattr(swnopt.optimize, "_score", recording)  # record the minimization's points only
+    result = minimize(spec, w0, config)
     values = [v for _, v in result.trace]
     assert result.final_value == min(seen)
     assert values[0] == seen[0]
@@ -325,7 +314,7 @@ def _treegen_lh_spec(seed):
     language = unfold_language(annotate(rg, np.ones(len(wn.net.transitions))), coverage=0.95, max_trace_len=20)
     top = sorted(language.probs.items(), key=lambda kv: -kv[1])[:40]
     mass = sum(p for _, p in top)
-    return ObjectiveSpec(measure="lh", wn=wn, rg=rg, target=StochasticLanguage({t: p / mass for t, p in top}))
+    return ObjectiveSpec(measure="lh", rg=rg, target=StochasticLanguage({t: p / mass for t, p in top}))
 
 
 def _has_cycle(rg):
@@ -363,13 +352,13 @@ def _central(spec, x, h=1e-6):
 def test_lh_gradient_matches_central_differences(name):
     spec = _GRADIENT_SPECS[name]()
     if name.startswith("treegen"):  # the nets the adjoint must handle: silent arcs inside cycles
-        assert any(label is None for label in spec.wn.net.labeling.values())
+        assert any(label is None for label in spec.rg.wn.net.labeling.values())
         assert _has_cycle(spec.rg)
     rng = np.random.default_rng(3)
     for _ in range(3):
         x = np.log(rng.uniform(0.05, 1.0, spec.n_weights))
         assert min(spec._product.probabilities(annotate(spec.rg, np.exp(x))).values()) > 1e3 * P_CLAMP
-        value, grad = swnopt.optimize._lh_value_and_gradient(spec, x)
+        value, grad = evaluate_objective(spec, np.exp(x), gradient=True)
         assert value == evaluate_objective(spec, np.exp(x))  # bit for bit
         reference = _central(spec, x)
         assert np.max(np.abs(grad - reference)) <= 1e-6 * np.max(np.abs(reference))
@@ -391,7 +380,7 @@ def splu_calls(monkeypatch):
 
 def test_lh_value_and_gradient_factors_once(splu_calls):
     spec = _treegen_lh_spec(1)
-    swnopt.optimize._lh_value_and_gradient(spec, np.zeros(spec.n_weights))
+    evaluate_objective(spec, np.ones(spec.n_weights), gradient=True)
     assert len(splu_calls) == 1
 
 
@@ -406,7 +395,7 @@ def test_clamped_target_trace_contributes_no_gradient():
     x = np.log(np.array([1.0, 0.3, 0.35, 1e-14, 1.0]))
     probs = spec._product.probabilities(annotate(spec.rg, np.exp(x)))
     assert probs[("a", "b", "d")] < P_CLAMP and probs[("a", "d", "b")] < P_CLAMP
-    _, grad = swnopt.optimize._lh_value_and_gradient(spec, x)
+    _, grad = evaluate_objective(spec, np.exp(x), gradient=True)
     reference = _central(spec, x)
     assert np.max(np.abs(grad - reference)) <= 1e-6 * np.max(np.abs(reference))
     assert abs(grad[3]) <= 1e-9
@@ -416,17 +405,17 @@ def _failing_far_from_start(monkeypatch, radius):
     """Make the trace-probability solve raise IllConditioned once any arc
     probability moves more than ``radius`` from the first one it solves for."""
     state = {"start": None, "raised": 0}
-    original = PrefixProduct._solve
+    original = PrefixProduct.probabilities_with_pullback
 
-    def solve(self, arc_prob):
+    def solve(self, arg):
         if state["start"] is None:
-            state["start"] = arc_prob.copy()
-        if np.max(np.abs(arc_prob - state["start"])) > radius:
+            state["start"] = arg.arc_prob.copy()
+        if np.max(np.abs(arg.arc_prob - state["start"])) > radius:
             state["raised"] += 1
             raise IllConditioned("test: beyond the trust radius")
-        return original(self, arc_prob)
+        return original(self, arg)
 
-    monkeypatch.setattr(PrefixProduct, "_solve", solve)
+    monkeypatch.setattr(PrefixProduct, "probabilities_with_pullback", solve)
     return state
 
 
@@ -455,21 +444,21 @@ def test_lh_non_finite_gradient_is_scored_invalid(monkeypatch):
         return grad if len(calls) % 3 else np.full_like(grad, np.nan)
 
     monkeypatch.setattr(swnopt.optimize, "log_weight_gradient", poisoned)
-    x = np.zeros(spec.n_weights)
-    assert swnopt.optimize._lh_value_and_gradient(spec, x)[0] < INVALID_OBJECTIVE
-    assert swnopt.optimize._lh_value_and_gradient(spec, x)[0] < INVALID_OBJECTIVE
-    value, grad = swnopt.optimize._lh_value_and_gradient(spec, x)
+    weights = np.ones(spec.n_weights)
+    assert swnopt.optimize._score(spec, weights, gradient=True)[0] < INVALID_OBJECTIVE
+    assert swnopt.optimize._score(spec, weights, gradient=True)[0] < INVALID_OBJECTIVE
+    value, grad = swnopt.optimize._score(spec, weights, gradient=True)
     assert value == INVALID_OBJECTIVE
     assert np.array_equal(grad, np.zeros(spec.n_weights))
 
     returned = []
-    checked = swnopt.optimize._lh_value_and_gradient
+    checked = swnopt.optimize._score
 
-    def recording(s, point):
-        returned.append(checked(s, point))
+    def recording(s, point, gradient=False):
+        returned.append(checked(s, point, gradient))
         return returned[-1]
 
-    monkeypatch.setattr(swnopt.optimize, "_lh_value_and_gradient", recording)
+    monkeypatch.setattr(swnopt.optimize, "_score", recording)
     w0 = WeightVector(tuple(np.random.default_rng(1).uniform(0.2, 1.0, spec.n_weights)))
     result = minimize(spec, w0, OptimizerConfig(max_iter=20, seed=0))
     assert any(value == INVALID_OBJECTIVE for value, _ in returned)
@@ -482,3 +471,41 @@ def test_two_loop_lh_needs_few_factorizations(splu_calls):
     result = optimized_weights(_two_loop_spec("lh"), OptimizerConfig(n0=10, max_iter=50, delta=1e-3, seed=42))
     assert len(splu_calls) <= 40
     assert result.final_value <= 3.93
+
+
+def test_remd_has_no_gradient():
+    spec = _pc_spec("remd")
+    with pytest.raises(ValueError):
+        evaluate_objective(spec, np.ones(spec.n_weights), gradient=True)
+
+
+@pytest.fixture
+def objective_calls(monkeypatch):
+    """The weights of every evaluate_objective call, in call order."""
+    calls = []
+    original = swnopt.optimize.evaluate_objective
+
+    def recording(spec, weights, *args, **kwargs):
+        calls.append(np.array(weights, dtype=np.float64))
+        return original(spec, weights, *args, **kwargs)
+
+    monkeypatch.setattr(swnopt.optimize, "evaluate_objective", recording)
+    return calls
+
+
+@pytest.mark.parametrize("measure", MEASURES)
+def test_minimize_scores_start_once(objective_calls, measure):
+    spec = _two_loop_spec(measure)
+    w0 = WeightVector(tuple(np.random.default_rng(1).uniform(0.2, 1.0, spec.n_weights)))
+    result = minimize(spec, w0, OptimizerConfig(max_iter=5, seed=0))
+    start = np.exp(np.log(np.asarray(w0.values)))
+    assert np.array_equal(objective_calls[0], start)
+    assert sum(np.array_equal(w, start) for w in objective_calls) == 1
+    assert result.trace[0] == (0, evaluate_objective(spec, w0))
+
+
+@pytest.mark.parametrize("measure", MEASURES)
+def test_every_factorization_is_one_objective_call(objective_calls, splu_calls, measure):
+    optimized_weights(_two_loop_spec(measure), OptimizerConfig(n0=5, max_iter=10, seed=42))
+    assert len(objective_calls) > 5
+    assert len(objective_calls) == len(splu_calls)

@@ -71,6 +71,13 @@ def test_malformed_xml_rejected():
         parse_pnml(b"<wrongroot/>")
 
 
+def test_declared_encoding_honoured():
+    doc = MINIMAL.format(name="café").replace('<?xml version="1.0"?>', '<?xml version="1.0" encoding="ISO-8859-1"?>')
+    assert parse_pnml(doc.encode("iso-8859-1")).net.labeling["t"] == "café"
+    with pytest.raises(MalformedPnml):  # bytes that are not UTF-8 in an undeclared (UTF-8) document
+        parse_pnml(MINIMAL.format(name="café").encode("iso-8859-1"))
+
+
 def test_unknown_elements_warn_but_do_not_fail():
     doc = MINIMAL.format(name="a").replace(
         '<place id="end"/>', '<place id="end"><shinyExtension/></place><frob/>'

@@ -6,7 +6,7 @@ import pytest
 from swnopt import unfolding
 from swnopt.logs import StochasticLanguage
 from swnopt.nets import LabeledPetriNet, StochasticWorkflowNet, validate_workflow
-from swnopt.optimize import INVALID_OBJECTIVE, ObjectiveSpec, _guarded, evaluate_objective
+from swnopt.optimize import INVALID_OBJECTIVE, ObjectiveSpec, _score, evaluate_objective
 from swnopt.semantics import annotate, build_rg
 from swnopt.unfolding import (
     IllConditioned,
@@ -124,8 +124,10 @@ def test_escape_below_float_precision_scores_invalid():
     with pytest.raises(IllConditioned):
         trace_probabilities(_annotated(_livelock(1e18)), PrefixIndex([("a",)]))
     spec = ObjectiveSpec.for_net("lh", silent_livelock_wn(), StochasticLanguage({("a",): 1.0}))
-    x = np.log([1.0, 1e18, 1.0, 1.0, 1.0])
-    assert _guarded(spec)(x) == INVALID_OBJECTIVE
+    weights = np.array([1.0, 1e18, 1.0, 1.0, 1.0])
+    assert _score(spec, weights) == INVALID_OBJECTIVE
+    value, grad = _score(spec, weights, gradient=True)
+    assert value == INVALID_OBJECTIVE and np.array_equal(grad, np.zeros(5))
 
 
 def test_product_built_once_per_spec(monkeypatch):
