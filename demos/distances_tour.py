@@ -19,6 +19,7 @@ from swnopt import (
     normalized_levenshtein,
     restricted_emd,
     truncated_emd,
+    unfold_language,
     validate_workflow,
 )
 
@@ -77,7 +78,7 @@ report = restricted_emd(target, model)
 print("restricted EMD:", report.value, "(model mass on the log:", report.model_mass_on_log, ")")
 
 # truncated EMD: unfold the infinite language up to 80% coverage instead
-report = truncated_emd(target, annotated, coverage=0.8)
+report = truncated_emd(target, unfold_language(annotated, coverage=0.8))
 print("truncated EMD:", report.value, "(coverage reached:", report.coverage_used, ")")
 
 # identical languages are at distance zero under either route

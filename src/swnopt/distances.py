@@ -19,8 +19,8 @@
   (~1e-7), and these LPs solve no slower without it.
 * ``restricted_emd``: EMD after restricting the model language to the
   target's support and renormalizing; cheap enough to drive optimization.
-* ``truncated_emd``: EMD after unfolding the model up to a probability
-  coverage threshold; used for evaluation, not optimization.
+* ``truncated_emd``: EMD against the model language ``unfold_language``
+  truncated at a coverage threshold; used for evaluation, not optimization.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -30,8 +30,6 @@ from scipy.optimize._highspy import _core as highs  # private module, shipped si
 
 from .errors import ComputationError
 from .logs import StochasticLanguage, Trace
-from .semantics import AnnotatedRG
-from .unfolding import DEFAULT_PROB_FLOOR, unfold_language
 
 #: Model probabilities are clamped here before taking the log.
 P_CLAMP = 1e-12
@@ -275,26 +273,16 @@ def restricted_emd(
     return DistanceReport(kind="remd", value=value, model_mass_on_log=mass)
 
 
-def truncated_emd(
-    target: StochasticLanguage,
-    model: AnnotatedRG,
-    coverage: float,
-    max_trace_len: int | None = None,
-    max_level: int | None = None,
-    prob_floor: float = DEFAULT_PROB_FLOOR,
-) -> DistanceReport:
-    """EMD against the model language unfolded up to a coverage threshold.
+def truncated_emd(target: StochasticLanguage, model: StochasticLanguage) -> DistanceReport:
+    """EMD against the model language ``unfold_language`` truncated at a coverage.
 
-    Both sides are renormalized to mass one before the LP.  When the level,
-    length or floor budgets bind before the coverage is reached, the partial
-    result is still returned, flagged by ``coverage_used < coverage``.
+    Both sides are renormalized to mass one before the LP.  The model's mass
+    is reported as ``coverage_used``; it falls below the requested coverage
+    when the level, length or floor budgets bound first.
     """
-    model_lang = unfold_language(
-        model, coverage=coverage, max_trace_len=max_trace_len, max_level=max_level, prob_floor=prob_floor
-    )
-    mass = model_lang.mass()
+    mass = model.mass()
     if mass < MASS_FLOOR:
         raise ZeroModelMass(f"truncated unfolding reached mass {mass}")
-    plan = language_emd(target.normalized(), model_lang.normalized())
+    plan = language_emd(target.normalized(), model.normalized())
     value = min(max(plan.cost, 0.0), 1.0)
     return DistanceReport(kind="temd", value=value, coverage_used=mass)

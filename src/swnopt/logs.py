@@ -167,10 +167,10 @@ def parse_csv(data: bytes | str, case_col: str, activity_col: str, time_col: str
 
     Within a case, events are ordered by timestamp when ``time_col`` is given
     (ties broken by row order, stable), else by row order.  The header row is
-    required.
+    required.  Bytes are decoded as UTF-8, skipping a leading byte-order mark.
     """
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        data = data.decode("utf-8-sig")
     reader = csv.DictReader(io.StringIO(data))
     if reader.fieldnames is None:
         raise MissingColumn("empty CSV: no header row")

@@ -1,8 +1,9 @@
 """PNML read/write for (stochastic) workflow nets.
 
 Supports the PNML core subset: ``net``/``page``/``place``/``transition``/
-``arc`` plus place ``initialMarking`` and transition ``name``.  Transition
-weights travel in a tool-specific block inside each ``<transition>``::
+``arc`` plus place ``initialMarking``, transition ``name`` and arc
+``inscription`` (multiplicity, 1 if absent).  Transition weights travel in
+a tool-specific block inside each ``<transition>``::
 
     <toolspecific tool="stochastic-weights" version="1">
       <weight>0.35</weight>
@@ -11,8 +12,8 @@ weights travel in a tool-specific block inside each ``<transition>``::
 where the weight text is a base-10 float with up to 17 significant digits.
 A transition whose name is empty, absent, or the literal "tau"/"τ" is
 silent.  Unknown elements are ignored with a :class:`PnmlWarning` (real-world
-PNML carries tool noise); ``graphics`` and ``inscription`` blocks are skipped
-silently.
+PNML carries tool noise); ``graphics`` and other ``inscription`` blocks are
+skipped silently.
 """
 
 import warnings
@@ -110,7 +111,7 @@ def parse_pnml(data: bytes | str) -> ParsedPnml:
     labeling: dict[str, str | None] = {}
     marking: dict[str, int] = {}
     weights: dict[str, float] = {}
-    arcs: list[tuple[str, str, str]] = []
+    arcs: list[tuple[str, str, int]] = []
     seen_ids: set[str] = set()
     seen_arc_ids: set[str] = set()
 
@@ -168,7 +169,11 @@ def parse_pnml(data: bytes | str) -> ParsedPnml:
                 if aid in seen_arc_ids:
                     raise DuplicateId(f"duplicate arc id {aid!r}")
                 seen_arc_ids.add(aid)
-            arcs.append((aid or "", src, dst))
+            inscription = _child(elem, "inscription")
+            text = "1" if inscription is None else _text_of(inscription) or ""
+            if not text.isdecimal() or int(text) < 1:
+                raise MalformedPnml(f"bad inscription on arc {src!r}->{dst!r}: {text!r}")
+            arcs.append((src, dst, int(text)))
         elif tag == "page":
             for c in elem:
                 handle_node(c)
@@ -182,10 +187,10 @@ def parse_pnml(data: bytes | str) -> ParsedPnml:
 
     flow: dict[tuple[str, str], int] = {}
     node_ids = set(places) | set(transitions)
-    for _, src, dst in arcs:
+    for src, dst, mult in arcs:
         if src not in node_ids or dst not in node_ids:
             raise DanglingArc(f"arc {src!r}->{dst!r} references an undeclared node")
-        flow[(src, dst)] = flow.get((src, dst), 0) + 1
+        flow[(src, dst)] = flow.get((src, dst), 0) + mult
 
     try:
         net = LabeledPetriNet(

@@ -1,13 +1,17 @@
 import argparse
 import json
 import math
+import sys
 
 import pytest
 
 from swnopt import cli
 from swnopt.cli import main
 from swnopt.logs import parse_csv, parse_xes, write_csv
+from swnopt.optimize import OptimizerConfig
 from swnopt.pnml import parse_pnml, write_pnml
+from swnopt.semantics import DEFAULT_STATE_CAP
+from swnopt.unfolding import DEFAULT_PROB_FLOOR
 
 from .fixtures import (
     parallel_choice_log,
@@ -167,25 +171,70 @@ def test_discover_rejects_removed_flags(workdir, capsys, flag, value):
 
 
 def test_every_flag_is_read(workdir, capsys, monkeypatch):
-    read = {}
-    original = cli._Options.get
+    read = set()
 
-    def recording_get(self, key, *args, **kwargs):
-        read.setdefault(self.args.command, set()).add(key)
-        return original(self, key, *args, **kwargs)
+    class RecordingNamespace(argparse.Namespace):
+        def __getattribute__(self, name):
+            if sys._getframe(1).f_globals.get("__name__") == cli.__name__:  # reads by argparse do not count
+                read.add(name)
+            return super().__getattribute__(name)
 
-    monkeypatch.setattr(cli._Options, "get", recording_get)
+    monkeypatch.setattr(argparse, "Namespace", RecordingNamespace)
     net, log = str(workdir / "net.pnml"), str(workdir / "log.csv")
-    assert main(_discover_args(workdir, measure="lh", seed="1", n0="2", max_iter="2")) == 0
-    assert main(["evaluate", "--net", net, "--log", log]) == 0
-    assert main(["unfold", "--net", net, "--log", log]) == 0
-    assert main(["unfold", "--net", net, "--coverage", "1.0"]) == 0
+    runs = {
+        "discover": [_discover_args(workdir, measure="lh", seed="1", n0="2", max_iter="2")],
+        "evaluate": [["evaluate", "--net", net, "--log", log]],
+        "unfold": [["unfold", "--net", net, "--log", log], ["unfold", "--net", net, "--coverage", "1.0"]],
+    }
+    (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, argvs in runs.items():
+        read.clear()
+        for argv in argvs:
+            assert main(argv) == 0
+        dests = {a.dest for a in subparsers.choices[command]._actions} - {"help", "config"}
+        assert dests - read == set(), command
     capsys.readouterr()
 
-    (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+
+def test_parser_defaults_come_from_the_library():
+    parser = cli.build_parser()
+    discover = parser.parse_args(["discover"])
+    config = OptimizerConfig()
+    assert (discover.n0, discover.max_iter, discover.delta, discover.seed) == (
+        config.n0, config.max_iter, config.delta, config.seed
+    )
     for command in ("discover", "evaluate", "unfold"):
-        dests = {a.dest for a in subparsers.choices[command]._actions} - {"help", "config"}
-        assert dests - read[command] == set(), command
+        assert parser.parse_args([command]).state_cap == DEFAULT_STATE_CAP
+    for command in ("evaluate", "unfold"):
+        assert parser.parse_args([command]).prob_floor == DEFAULT_PROB_FLOOR
+
+
+@pytest.mark.parametrize("value,listed", [("false", False), ("yes", True)])
+def test_config_boolean_timings(workdir, capsys, value, listed):
+    cfg = workdir / "run.cfg"
+    cfg.write_text(f"timings = {value}\nn0 = 2\nmax_iter = 2\n")
+    assert main(_discover_args(workdir, seed="1") + ["--config", str(cfg)]) == 0
+    report = json.loads((workdir / "report.json").read_text())
+    assert ("timings" in report) == listed
+    capsys.readouterr()
+
+
+def test_config_bad_value_exits_2_naming_the_option(workdir, capsys):
+    cfg = workdir / "run.cfg"
+    cfg.write_text("n0 = many\n")
+    with pytest.raises(SystemExit) as exc:
+        main(_discover_args(workdir) + ["--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "n0" in capsys.readouterr().err
+
+
+def test_config_keys_may_be_spelled_like_flags(workdir, capsys):
+    cfg = workdir / "run.cfg"
+    cfg.write_text("max-iter = 3\nn0 = 2\n")
+    assert main(_discover_args(workdir, seed="1") + ["--config", str(cfg)]) == 0
+    report = json.loads((workdir / "report.json").read_text())
+    assert report["max_iter"] == 3
+    assert "not an option" not in capsys.readouterr().err
 
 
 def test_evaluate_reference_weighted_net(workdir, capsys):

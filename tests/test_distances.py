@@ -403,7 +403,7 @@ def test_transport_model_built_once_per_cost_matrix(monkeypatch):
 
 def test_temd_zero_for_exact_weights():
     target = parallel_choice_language()
-    report = truncated_emd(target, _annotated(parallel_choice_swn()), coverage=0.8)
+    report = truncated_emd(target, unfold_language(_annotated(parallel_choice_swn()), coverage=0.8))
     assert report.kind == "temd"
     assert report.value == pytest.approx(0.0, abs=1e-9)
     assert report.coverage_used == pytest.approx(1.0, abs=1e-9)  # finite language fully unfolds
@@ -415,7 +415,7 @@ def test_temd_uniform_weights_matches_oracle():
     wn = parallel_choice_wn()
     uniform = StochasticWorkflowNet(wn, {t: 1.0 for t in wn.net.transitions})
     target = parallel_choice_language()
-    report = truncated_emd(target, _annotated(uniform), coverage=1.0)
+    report = truncated_emd(target, unfold_language(_annotated(uniform), coverage=1.0))
     # model language at uniform weights: {abc: 1/6, abd: 1/6, acb: 1/3, adb: 1/3};
     # oracle on a 1/600 mass grid (both sides are exact multiples)
     rows = tuple(target.probs)
@@ -435,7 +435,7 @@ def test_temd_partial_coverage_is_flagged_not_fatal():
         {"t_in": 1.0, "t_go": 9.0, "t_back": 1.0, "emit": 1.0, "t_out": 1.0},
     )
     target = StochasticLanguage({("a",): 1.0})
-    report = truncated_emd(target, _annotated(swn), coverage=0.8, max_level=4)
+    report = truncated_emd(target, unfold_language(_annotated(swn), coverage=0.8, max_level=4))
     assert report.coverage_used < 0.8
     assert 0.0 <= report.value <= 1.0
 

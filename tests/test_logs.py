@@ -161,6 +161,11 @@ def test_parse_csv_missing_column():
         parse_csv("", "case", "activity")
 
 
+def test_parse_csv_bytes_with_byte_order_mark():
+    data = "case,activity\nc1,A\nc1,B\n".encode("utf-8-sig")
+    assert parse_csv(data, "case", "activity").entries == {("A", "B"): 1}
+
+
 def test_parse_csv_bad_timestamp():
     with pytest.raises(UnparseableTimestamp):
         parse_csv("case,activity,ts\nc1,A,yesterday\n", "case", "activity", "ts")

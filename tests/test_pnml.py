@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from swnopt.nets import SILENT, StochasticWorkflowNet, validate_workflow
+from swnopt.nets import SILENT, NotAWorkflowNet, StochasticWorkflowNet, validate_workflow
 from swnopt.pnml import (
     DanglingArc,
     DuplicateId,
@@ -165,3 +165,26 @@ def test_duplicate_arcs_become_multiplicity():
     )
     parsed = parse_pnml(doc)
     assert parsed.net.flow[("t", "end")] == 2
+
+
+def test_arc_inscription_is_the_multiplicity():
+    doc = MINIMAL.format(name="a").replace(
+        '<arc id="a2" source="t" target="end"/>',
+        '<arc id="a2" source="t" target="end"><inscription><text>2</text></inscription></arc>',
+    )
+    parsed = parse_pnml(doc)
+    assert parsed.net.flow == {("start", "t"): 1, ("t", "end"): 2}
+    with pytest.raises(NotAWorkflowNet):
+        validate_workflow(parsed.net, parsed.source, parsed.sink)
+    unit = doc.replace("<text>2</text>", "<text>1</text>")
+    assert parse_pnml(unit).net.flow == {("start", "t"): 1, ("t", "end"): 1}
+
+
+@pytest.mark.parametrize("text", ["0", "-1", "1.5", "two", ""])
+def test_bad_arc_inscription_rejected(text):
+    doc = MINIMAL.format(name="a").replace(
+        '<arc id="a2" source="t" target="end"/>',
+        f'<arc id="a2" source="t" target="end"><inscription><text>{text}</text></inscription></arc>',
+    )
+    with pytest.raises(MalformedPnml):
+        parse_pnml(doc)
