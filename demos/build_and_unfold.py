@@ -10,7 +10,6 @@ Run:  python demos/build_and_unfold.py
 
 from swnopt import (
     LabeledPetriNet,
-    PrefixIndex,
     StochasticWorkflowNet,
     annotate,
     build_rg,
@@ -58,6 +57,5 @@ for trace, prob in sorted(language.probs.items()):
 # restricted to a target set: only paths that can still complete a target
 # trace are kept, and one linear solve gives their exact probabilities, even
 # through silent cycles; this is what makes long logs tractable
-targets = PrefixIndex([("a", "b", "c"), ("a", "d", "b")])
-result = trace_probabilities(annotated, targets)
+result = trace_probabilities(annotated, [("a", "b", "c"), ("a", "d", "b")])
 print("restricted to {abc, adb}:", {("".join(t)): p for t, p in result.items()})

@@ -68,9 +68,9 @@ target = StochasticLanguage(
 )
 
 # log-likelihood: only needs model probabilities on the log's support
-from swnopt import PrefixIndex, trace_probabilities
+from swnopt import trace_probabilities
 
-model = trace_probabilities(annotated, PrefixIndex(target.probs))
+model = trace_probabilities(annotated, target.probs)
 print("\nlog-likelihood divergence:", log_likelihood_divergence(target, model))
 
 # restricted EMD: renormalize the model on the log support, then transport

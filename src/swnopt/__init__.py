@@ -61,7 +61,7 @@ from .semantics import (
     fire,
     rg_to_dot,
 )
-from .unfolding import PrefixIndex, trace_probabilities, unfold_language
+from .unfolding import trace_probabilities, unfold_language
 
 __all__ = [
     "SILENT",
@@ -74,7 +74,6 @@ __all__ = [
     "ObjectiveSpec",
     "OptimizationResult",
     "OptimizerConfig",
-    "PrefixIndex",
     "ReachabilityGraph",
     "StochasticLanguage",
     "StochasticWorkflowNet",

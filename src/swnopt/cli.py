@@ -30,7 +30,7 @@ from .nets import StochasticWorkflowNet, validate_workflow
 from .optimize import METHODS, ObjectiveSpec, OptimizerConfig, optimized_weights
 from .pnml import parse_pnml, write_pnml
 from .semantics import DEFAULT_STATE_CAP, AnnotatedRG, annotate, build_rg
-from .unfolding import DEFAULT_PROB_FLOOR, PrefixIndex, trace_probabilities, unfold_language
+from .unfolding import DEFAULT_PROB_FLOOR, trace_probabilities, unfold_language
 
 REPORT_SCHEMA = "stochastic-weights/report/1"
 
@@ -55,6 +55,7 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace, arg
     of the subcommand is warned about, not rejected: one file may serve
     several subcommands."""
     options = set(vars(args)) - {"command", "handler", "parser", "config"}
+    actions = {action.dest: action for action in args.parser._actions}
     defaults = {}
     for key, value in _read_config(args.config).items():
         dest = key.replace("-", "_")
@@ -62,6 +63,11 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace, arg
             print(f"warning: config key {key!r} is not an option of {args.command}; ignored", file=sys.stderr)
         elif isinstance(getattr(args, dest), bool):
             defaults[dest] = value.lower() in ("1", "true", "yes")
+        elif actions[dest].choices is not None and value not in actions[dest].choices:
+            # argparse checks choices on the command line only, not on defaults
+            choices = ", ".join(map(repr, actions[dest].choices))
+            message = f"invalid choice: {value!r} in {args.config} (choose from {choices})"
+            args.parser.error(str(argparse.ArgumentError(actions[dest], message)))
         else:
             defaults[dest] = value
     args.parser.set_defaults(**defaults)
@@ -180,6 +186,11 @@ def cmd_discover(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    measures = [m.strip() for m in args.measures.split(",") if m.strip()]
+    unknown = [m for m in measures if m not in ("lh", "remd", "temd")]
+    if unknown or not measures:
+        raise InputError(f"--measures {args.measures!r}: choose one or more of lh, remd, temd")
+
     wn, parsed = _load_workflow(_require(args, "net"), args)
     if parsed.unweighted:
         print("warning: net carries no weights; using 1.0 everywhere", file=sys.stderr)
@@ -188,13 +199,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     rg = build_rg(wn, state_cap=args.state_cap)
     weights = [parsed.weights[t] for t in wn.net.transitions]
     annotated = annotate(rg, weights)
-
-    measures = [m.strip() for m in args.measures.split(",") if m.strip()]
-    unknown = [m for m in measures if m not in ("lh", "remd", "temd")]
-    if unknown:
-        raise InputError(f"unknown measures {unknown}; choose from lh, remd, temd")
-
-    probs = trace_probabilities(annotated, PrefixIndex(target.probs)) if {"lh", "remd"} & set(measures) else None
+    probs = trace_probabilities(annotated, target.probs) if {"lh", "remd"} & set(measures) else None
 
     reports: list[DistanceReport] = []
     for m in measures:
@@ -225,7 +230,7 @@ def cmd_unfold(args: argparse.Namespace) -> int:
         log = _load_log(args.log, args)
         if not log.entries:
             raise EmptyLog("target log has no traces")
-        probs = trace_probabilities(annotated, PrefixIndex(log.support()))
+        probs = trace_probabilities(annotated, log.support())
         _print_json({"traces": _trace_entries(probs, "prob")})
     elif args.coverage is not None:
         lang = _unfold(annotated, args)

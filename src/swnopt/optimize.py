@@ -61,7 +61,7 @@ from .distances import (
 from .logs import StochasticLanguage
 from .nets import WeightVector, WorkflowNet
 from .semantics import ReachabilityGraph, annotate, build_rg, log_weight_gradient
-from .unfolding import IllConditioned, PrefixIndex, PrefixProduct
+from .unfolding import IllConditioned, PrefixProduct
 
 #: The scipy method each measure is minimized with.
 METHODS = {"lh": "L-BFGS-B", "remd": "Powell"}
@@ -105,7 +105,7 @@ class ObjectiveSpec:
             raise ValueError(f"measure must be one of {MEASURES}, got {self.measure!r}")
         if not self.target.is_complete:
             raise ValueError("target language must be complete")
-        object.__setattr__(self, "_product", PrefixProduct(self.rg, PrefixIndex(self.target.probs)))
+        object.__setattr__(self, "_product", PrefixProduct(self.rg, self.target.probs))
         support = tuple(self.target.probs)
         cost = levenshtein_cost_matrix(support, support) if self.measure == "remd" else None
         object.__setattr__(self, "_cost", cost)

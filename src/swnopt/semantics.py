@@ -88,22 +88,20 @@ class ReachabilityGraph:
     """Marking graph of a workflow net.
 
     ``states`` holds one bitmask per marking (bit i = place ``i`` in the
-    net's place order); state 0 is the initial marking.  Arcs are stored as
-    parallel arrays sorted by source state, with ``out_start`` giving the
-    CSR-style slice ``out_start[s]:out_start[s+1]`` of arcs leaving state
-    ``s``.  ``arc_tid`` indexes into the net's transition order.
+    net's place order); state 0 is the initial marking.  Arcs are numbered
+    in order of their source state.  ``out_arcs[s]`` lists the arcs leaving
+    state ``s`` in index order as ``(arc index, destination, label)``
+    triples (label None = silent); the unfolding walks read this table.
+    ``arc_src`` and ``arc_tid`` give each arc's source state and its index
+    in the net's transition order, the arrays :func:`annotate` reads.
     ``sink_state`` is the index of the marking {sink}, or None if the sink
-    marking is unreachable.  ``out_arcs[s]`` lists the same arcs as
-    ``(arc index, destination, label)`` triples (label None = silent), the
-    weight-independent table the unfolding sweeps read.
+    marking is unreachable.
     """
 
     wn: WorkflowNet
     states: tuple[int, ...]
     arc_src: np.ndarray
-    arc_dst: np.ndarray
     arc_tid: np.ndarray
-    out_start: np.ndarray
     sink_state: int | None
     out_arcs: tuple[tuple[tuple[int, int, str | None], ...], ...]
 
@@ -147,9 +145,7 @@ def build_rg(wn: WorkflowNet, state_cap: int = DEFAULT_STATE_CAP) -> Reachabilit
     state_index: dict[int, int] = {initial: 0}
     states: list[int] = [initial]
     arc_src: list[int] = []
-    arc_dst: list[int] = []
     arc_tid: list[int] = []
-    out_start: list[int] = [0]
     out_arcs: list[tuple[tuple[int, int, str | None], ...]] = []
 
     queue = deque([0])
@@ -179,9 +175,7 @@ def build_rg(wn: WorkflowNet, state_cap: int = DEFAULT_STATE_CAP) -> Reachabilit
                 queue.append(dst)
             row.append((len(arc_src), dst, labels[tid]))
             arc_src.append(src)
-            arc_dst.append(dst)
             arc_tid.append(tid)
-        out_start.append(len(arc_src))
         out_arcs.append(tuple(row))
 
     sink_mask = 1 << place_idx[wn.sink]
@@ -196,9 +190,7 @@ def build_rg(wn: WorkflowNet, state_cap: int = DEFAULT_STATE_CAP) -> Reachabilit
         wn=wn,
         states=tuple(states),
         arc_src=_frozen(arc_src),
-        arc_dst=_frozen(arc_dst),
         arc_tid=_frozen(arc_tid),
-        out_start=_frozen(out_start),
         sink_state=sink_state,
         out_arcs=tuple(out_arcs),
     )
@@ -244,13 +236,11 @@ def rg_to_dot(rg: ReachabilityGraph, arc_prob: np.ndarray | None = None) -> str:
     for s in range(rg.n_states):
         shape = "doublecircle" if s == rg.sink_state else "circle"
         lines.append(f'  s{s} [label="{rg.state_label(s)}" shape={shape}];')
-    transitions = rg.wn.net.transitions
-    labeling = rg.wn.net.labeling
-    for a in range(rg.n_arcs):
-        t = transitions[rg.arc_tid[a]]
-        label = labeling[t] or "τ"
-        if arc_prob is not None:
-            label += f" {arc_prob[a]:.4g}"
-        lines.append(f'  s{rg.arc_src[a]} -> s{rg.arc_dst[a]} [label="{label}"];')
+    for s, row in enumerate(rg.out_arcs):
+        for a, dst, symbol in row:
+            label = symbol or "τ"
+            if arc_prob is not None:
+                label += f" {arc_prob[a]:.4g}"
+            lines.append(f'  s{s} -> s{dst} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -7,13 +7,15 @@
   cycles need no budget: the solve gives their exact absorption
   probabilities, the construction for trace probabilities of stochastic
   labelled Petri nets in Leemans, Syring & van der Aalst, *Earth Movers'
-  Stochastic Conformance Checking* (BPM Forum 2019).
+  Stochastic Conformance Checking* (BPM Forum 2019).  The targets' trie is
+  as large as the targets themselves, so it has no size cap.
 * :func:`unfold_language` enumerates the free language level by level (one
   level = one arc traversal; queue keys are (state, trie node) pairs in
   per-level buckets) until the completed mass reaches a coverage threshold.
   The language may be infinite, so a level budget, a per-key probability
   floor, a trace length budget and :data:`MAX_PREFIXES` bound the work; the
-  mass not collected is left in ``residual``.
+  mass not collected is left in ``residual``.  :data:`MAX_PREFIXES` bounds
+  only this free unfolding.
 """
 
 import math
@@ -29,7 +31,7 @@ from .semantics import AnnotatedRG, ReachabilityGraph
 
 DEFAULT_PROB_FLOOR = 1e-12
 
-#: Most nodes a trace trie may hold; past it `_Trie.add` raises PrefixCapExceeded.
+#: Most nodes the free unfolding's trie may hold; past it `_Trie.add` raises PrefixCapExceeded.
 MAX_PREFIXES = 1 << 20
 
 #: How far a solved probability may leave [0, 1] before the solve is rejected.
@@ -45,7 +47,7 @@ class IllConditioned(ComputationError):
 
 
 class _Trie:
-    """Append-only trie; node 0 is the root (empty trace).
+    """Append-only trie of the free unfolding; node 0 is the root (empty trace).
 
     :meth:`add` creates no node deeper than ``max_depth`` and no more than
     :data:`MAX_PREFIXES` nodes.
@@ -83,51 +85,46 @@ class _Trie:
         return tuple(reversed(parts))
 
 
-class PrefixIndex:
-    """Trie over a non-empty target trace set, plus the set's member nodes."""
-
-    def __init__(self, traces: Iterable[Trace]):
-        self._trie = _Trie()
-        self._member: set[int] = set()
-        for trace in traces:
-            node = 0
-            for symbol in trace:
-                node = self._trie.add(node, symbol)
-            self._member.add(node)
-        if not self._member:
-            raise ValueError("target trace set must be non-empty")
-
-    def __len__(self):
-        return len(self._member)
-
-
 class PrefixProduct:
     """The graph × target-trie product and the sparse pattern of ``I - P^T``.
 
-    Keys are (state, trie node) pairs, numbered breadth first from (initial
-    state, root) along target prefixes: a silent arc keeps the node, a
-    visible arc steps the trie.  An arc into the sink is a *hit* when its
-    node is a target.  Keys from which no hit is reachable are pruned with
-    their arcs: they carry no target mass, and an exitless silent cycle among
-    them would make the system singular.  The expected visits ``x`` of the
-    keys solve ``(I - P^T) x = e_0``; P(σ) sums ``x * p`` over σ's hits.
-    The adjoint ``λ = (I - P^T)^{-T} c`` reuses the same LU factor, so the
-    gradient of any function of the P(σ) with respect to every arc
-    probability costs one more (transposed) solve.  Parallel arcs between
-    two keys share one slot of the pattern.  The matrix is built once and
-    each solve overwrites its values in place, so one product must not be
-    solved by two threads at once.
+    ``traces`` is any iterable of target traces; duplicates collapse, the
+    empty trace is allowed, and an empty set raises ``ValueError``.  Keys
+    are (state, node) pairs over the targets' prefix trie, numbered breadth
+    first from (initial state, root) along target prefixes: a silent arc
+    keeps the node, a visible arc steps the trie.  An arc into the sink is a
+    *hit* when its node is a target.  Keys from which no hit is reachable
+    are pruned with their arcs: they carry no target mass, and an exitless
+    silent cycle among them would make the system singular.  The expected
+    visits ``x`` of the keys solve ``(I - P^T) x = e_0``; P(σ) sums
+    ``x * p`` over σ's hits.  The adjoint ``λ = (I - P^T)^{-T} c`` reuses
+    the same LU factor, so the gradient of any function of the P(σ) with
+    respect to every arc probability costs one more (transposed) solve.
+    Parallel arcs between two keys share one slot of the pattern.  The
+    matrix is built once and each solve overwrites its values in place, so
+    one product must not be solved by two threads at once.
     """
 
-    def __init__(self, rg: ReachabilityGraph, targets: PrefixIndex):
-        trie, member = targets._trie, targets._member
+    def __init__(self, rg: ReachabilityGraph, traces: Iterable[Trace]):
+        children: list[dict[str, int]] = [{}]  # the targets' prefix trie; node 0 is the root
+        member: dict[int, Trace] = {}  # trie node -> the target trace that ends there
+        for trace in traces:
+            node = 0
+            for symbol in trace:
+                node = children[node].setdefault(symbol, len(children))
+                if node == len(children):
+                    children.append({})
+            member[node] = tuple(trace)
+        if not member:
+            raise ValueError("target trace set must be non-empty")
+
         index = {(rg.initial, 0): 0}
         keys = [(rg.initial, 0)]
         edges = []  # (source key, destination key, arc)
         hits = []  # (source key, target node, arc)
         for src, (state, node) in enumerate(keys):  # keys grows while iterated: breadth first
             for a, dst, symbol in rg.out_arcs[state]:
-                nxt = node if symbol is None else trie.children[node].get(symbol)
+                nxt = node if symbol is None else children[node].get(symbol)
                 if nxt is None:
                     continue
                 if dst == rg.sink_state:
@@ -171,7 +168,7 @@ class PrefixProduct:
 
         hits = np.array(hits, dtype=np.int64).reshape(-1, 3)
         nodes, self._hit_group = np.unique(hits[:, 1], return_inverse=True)
-        self._traces = [trie.trace_of(node) for node in nodes.tolist()]
+        self._traces = [member[node] for node in nodes.tolist()]
         self._hit_key, self._hit_arc = renumber[hits[:, 0]], hits[:, 2]
 
     def probabilities(self, arg: AnnotatedRG) -> dict[Trace, float]:
@@ -221,13 +218,13 @@ class PrefixProduct:
         return dict(zip(self._traces, np.clip(probs, 0.0, 1.0).tolist())), pullback
 
 
-def trace_probabilities(arg: AnnotatedRG, targets: PrefixIndex) -> dict[Trace, float]:
+def trace_probabilities(arg: AnnotatedRG, traces: Iterable[Trace]) -> dict[Trace, float]:
     """Exact probability of each target trace under the annotated graph.
 
     Builds the product and solves it once; callers that score many weight
     vectors against one target set keep a :class:`PrefixProduct` instead.
     """
-    return PrefixProduct(arg.rg, targets).probabilities(arg)
+    return PrefixProduct(arg.rg, traces).probabilities(arg)
 
 
 def unfold_language(

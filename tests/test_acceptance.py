@@ -25,7 +25,7 @@ from swnopt.logs import StochasticLanguage, log_language, write_csv
 from swnopt.optimize import ObjectiveSpec, OptimizerConfig, evaluate_objective, optimized_weights
 from swnopt.pnml import write_pnml
 from swnopt.semantics import annotate, build_rg
-from swnopt.unfolding import PrefixIndex, trace_probabilities, unfold_language
+from swnopt.unfolding import trace_probabilities, unfold_language
 
 from .fixtures import (
     PARALLEL_CHOICE_PROBS,
@@ -55,7 +55,7 @@ def _annotated(swn):
 
 def test_criterion_1_reference_net_exactness():
     arg = _annotated(parallel_choice_swn())
-    targets = PrefixIndex(PARALLEL_CHOICE_PROBS)
+    targets = PARALLEL_CHOICE_PROBS
     trace_probabilities(arg, targets)  # warm-up outside the timer
     t0 = time.perf_counter()
     result = trace_probabilities(arg, targets)
@@ -69,7 +69,7 @@ def test_criterion_1_reference_net_exactness():
 def test_criterion_2_closed_form_oracle():
     wn = two_loop_wn()
     rg = build_rg(wn)
-    targets = PrefixIndex([("Q", "A"), ("A", "A")])
+    targets = [("Q", "A"), ("A", "A")]
     rng = np.random.default_rng(20240101)
     t0 = time.perf_counter()
     unit = trace_probabilities(annotate(rg, np.ones(9)), targets)
@@ -155,7 +155,7 @@ def test_criterion_5b_monte_carlo_agreement():
         arg = _annotated(swn)
         lang = unfold_language(arg, coverage=0.7, max_level=300)
         targets = [t for t, _ in sorted(lang.probs.items(), key=lambda kv: -kv[1])[:4]]
-        result = trace_probabilities(arg, PrefixIndex(targets))
+        result = trace_probabilities(arg, targets)
         counts = simulate_target_frequencies(swn, targets, n_runs=n, seed=910_000 + seed)
         for trace in targets:
             p = result.get(trace, 0.0)

@@ -228,6 +228,17 @@ def test_config_bad_value_exits_2_naming_the_option(workdir, capsys):
     assert "n0" in capsys.readouterr().err
 
 
+def test_config_value_outside_choices_exits_2_naming_the_option(workdir, capsys):
+    cfg = workdir / "run.cfg"
+    cfg.write_text("measure = bogus\n")
+    with pytest.raises(SystemExit) as exc:
+        main(_discover_args(workdir) + ["--config", str(cfg)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--measure" in err and "'bogus'" in err
+    assert not (workdir / "report.json").exists()
+
+
 def test_config_keys_may_be_spelled_like_flags(workdir, capsys):
     cfg = workdir / "run.cfg"
     cfg.write_text("max-iter = 3\nn0 = 2\n")
@@ -306,6 +317,52 @@ def test_evaluate_unknown_measure_exits_2(workdir, capsys):
         "--measures", "lh,bogus",
     ])
     assert code == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("measures", [",", " , "])
+def test_evaluate_empty_measure_list_exits_2(workdir, capsys, measures):
+    code = main([
+        "evaluate",
+        "--net", str(workdir / "net.pnml"),
+        "--log", str(workdir / "log.csv"),
+        "--measures", measures,
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--measures" in captured.err
+
+
+@pytest.mark.parametrize("measure", ["lh", "remd"])
+@pytest.mark.parametrize("swn,log", [(parallel_choice_swn, parallel_choice_log), (two_loop_swn, two_loop_log)])
+def test_evaluate_reproduces_discover(tmp_path, capsys, measure, swn, log):
+    # both commands score through PrefixProduct (and, for remd, the same
+    # Levenshtein matrix), so evaluate at discover's weights gives its value
+    (tmp_path / "net.pnml").write_bytes(write_pnml(swn()))
+    (tmp_path / "log.csv").write_text(write_csv(log()), encoding="utf-8")
+    assert main(_discover_args(tmp_path, measure=measure, seed="1")) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    capsys.readouterr()
+    code = main([
+        "evaluate",
+        "--net", str(tmp_path / "weighted.pnml"),
+        "--log", str(tmp_path / "log.csv"),
+        "--measures", measure,
+    ])
+    assert code == 0
+    (evaluated,) = json.loads(capsys.readouterr().out)
+    assert abs(evaluated["value"] - report["final_value"]) <= 1e-12
+
+
+def test_discover_log_prefixes_are_not_capped(tmp_path, capsys, monkeypatch):
+    # MAX_PREFIXES bounds the free unfolding only; the log's trie is bounded by the log
+    from swnopt import unfolding
+
+    monkeypatch.setattr(unfolding, "MAX_PREFIXES", 5)
+    (tmp_path / "net.pnml").write_bytes(write_pnml(two_loop_swn(1.0)))
+    (tmp_path / "log.csv").write_text(write_csv(two_loop_log()), encoding="utf-8")
+    assert main(_discover_args(tmp_path, measure="lh", seed="1", n0="2", max_iter="2")) == 0
     capsys.readouterr()
 
 

@@ -22,7 +22,7 @@ from swnopt.distances import (
 from swnopt.logs import StochasticLanguage
 from swnopt.optimize import ObjectiveSpec, evaluate_objective
 from swnopt.semantics import annotate, build_rg
-from swnopt.unfolding import PrefixIndex, trace_probabilities, unfold_language
+from swnopt.unfolding import trace_probabilities, unfold_language
 
 from .fixtures import (
     PARALLEL_CHOICE_PROBS,
@@ -42,7 +42,7 @@ def _annotated(swn):
 
 
 def _model_probs(swn, target):
-    return trace_probabilities(_annotated(swn), PrefixIndex(target.probs))
+    return trace_probabilities(_annotated(swn), target.probs)
 
 
 # -- Levenshtein --------------------------------------------------------------

@@ -318,13 +318,13 @@ def _treegen_lh_spec(seed):
 
 
 def _has_cycle(rg):
-    indegree = np.bincount(rg.arc_dst, minlength=rg.n_states)
+    indegree = np.bincount([d for row in rg.out_arcs for _, d, _ in row], minlength=rg.n_states)
     ready = [s for s in range(rg.n_states) if indegree[s] == 0]
     removed = 0
     while ready:
         s = ready.pop()
         removed += 1
-        for d in rg.arc_dst[rg.out_start[s] : rg.out_start[s + 1]]:
+        for _, d, _ in rg.out_arcs[s]:
             indegree[d] -= 1
             if indegree[d] == 0:
                 ready.append(d)

@@ -99,8 +99,7 @@ def test_build_rg_two_loop_shape():
     assert rg.sink_state is not None
     # every non-sink state has outgoing arcs (the net is sound)
     for s in range(rg.n_states):
-        degree = rg.out_start[s + 1] - rg.out_start[s]
-        assert (degree == 0) == (s == rg.sink_state)
+        assert (not rg.out_arcs[s]) == (s == rg.sink_state)
 
 
 def test_state_cap_exceeded():
@@ -108,14 +107,13 @@ def test_state_cap_exceeded():
         build_rg(parallel_choice_wn(), state_cap=3)
 
 
-def test_csr_adjacency_is_consistent():
-    rg = build_rg(two_loop_wn())
-    assert rg.out_start[0] == 0
-    assert rg.out_start[-1] == rg.n_arcs
-    assert np.all(np.diff(rg.out_start) >= 0)
-    for s in range(rg.n_states):
-        sl = slice(rg.out_start[s], rg.out_start[s + 1])
-        assert np.all(rg.arc_src[sl] == s)
+def test_out_arcs_list_each_state_arcs_in_index_order():
+    # annotate reads arc_src, the unfolding walks read out_arcs: they must agree
+    for wn in (two_loop_wn(), parallel_choice_wn()):
+        rg = build_rg(wn)
+        assert len(rg.out_arcs) == rg.n_states
+        for s in range(rg.n_states):
+            assert [a for a, _, _ in rg.out_arcs[s]] == np.flatnonzero(rg.arc_src == s).tolist()
 
 
 def test_annotate_simple_normalization():
@@ -137,8 +135,7 @@ def test_annotate_simple_normalization():
     rg = build_rg(wn)
     arg = annotate(rg, WeightVector((1.0, 2.0, 3.0)))
     mid = next(s for s in range(rg.n_states) if rg.marking_of(s) == {"m"})
-    sl = slice(rg.out_start[mid], rg.out_start[mid + 1])
-    probs = sorted(arg.arc_prob[sl])
+    probs = sorted(arg.arc_prob[a] for a, _, _ in rg.out_arcs[mid])
     assert probs == pytest.approx([0.4, 0.6], abs=1e-15)
 
 
@@ -147,10 +144,7 @@ def test_annotate_reference_branch_probabilities():
     rg = build_rg(wn)
     arg = annotate(rg, WeightVector.from_mapping(wn, {"a": 1, "b": 0.3, "c": 0.35, "d": 0.35, "tau": 1}))
     state = next(s for s in range(rg.n_states) if rg.marking_of(s) == {"p2", "p3"})
-    sl = slice(rg.out_start[state], rg.out_start[state + 1])
-    by_transition = {
-        wn.net.transitions[rg.arc_tid[a]]: arg.arc_prob[a] for a in range(sl.start, sl.stop)
-    }
+    by_transition = {wn.net.transitions[rg.arc_tid[a]]: arg.arc_prob[a] for a, _, _ in rg.out_arcs[state]}
     assert by_transition == pytest.approx({"b": 0.3, "c": 0.35, "d": 0.35})
 
 
@@ -160,11 +154,11 @@ def test_annotate_outgoing_probabilities_sum_to_one():
         rg = build_rg(swn.wn)
         arg = annotate(rg, swn.weight_vector())
         for s in range(rg.n_states):
-            sl = slice(rg.out_start[s], rg.out_start[s + 1])
-            if sl.start == sl.stop:
+            arcs = [a for a, _, _ in rg.out_arcs[s]]
+            if not arcs:
                 assert s == rg.sink_state  # deadlocks in these nets are only the sink
             else:
-                assert abs(arg.arc_prob[sl].sum() - 1.0) <= 1e-12
+                assert abs(arg.arc_prob[arcs].sum() - 1.0) <= 1e-12
 
 
 def test_annotate_weight_scaling_leaves_probabilities_unchanged():
@@ -209,8 +203,9 @@ def test_rg_invariant_under_transition_renaming():
 
         def arc_set(rg, names):
             return {
-                (rg.marking_of(rg.arc_src[a]), rg.marking_of(rg.arc_dst[a]), names[rg.arc_tid[a]])
-                for a in range(rg.n_arcs)
+                (rg.marking_of(s), rg.marking_of(d), names[rg.arc_tid[a]])
+                for s in range(rg.n_states)
+                for a, d, _ in rg.out_arcs[s]
             }
 
         arcs1 = {(s, d, mapping[t]) for s, d, t in arc_set(rg1, rg1.wn.net.transitions)}

@@ -11,7 +11,6 @@ from swnopt.semantics import annotate, build_rg
 from swnopt.unfolding import (
     IllConditioned,
     PrefixCapExceeded,
-    PrefixIndex,
     PrefixProduct,
     trace_probabilities,
     unfold_language,
@@ -35,20 +34,39 @@ def _annotated(swn):
     return annotate(rg, swn.weight_vector())
 
 
-def test_prefix_index_basics():
-    idx = PrefixIndex([("a", "b"), ("a", "c", "d"), ("a", "b")])
-    assert len(idx) == 2
-    with pytest.raises(ValueError):
-        PrefixIndex([])
+def test_trace_probabilities_collapses_duplicate_targets():
+    arg = _annotated(parallel_choice_swn())
+    once = trace_probabilities(arg, [("a", "b", "c"), ("a", "c", "b")])
+    twice = trace_probabilities(arg, [("a", "b", "c"), ("a", "c", "b"), ["a", "b", "c"]])
+    assert twice == once
+    assert list(twice) == [("a", "b", "c"), ("a", "c", "b")]
 
 
-def test_prefix_index_with_empty_trace_member():
-    idx = PrefixIndex([()])
-    assert len(idx) == 1
+def test_trace_probabilities_empty_trace_target():
+    # the parallel-choice net cannot finish without an event; a net with only
+    # silent transitions gives the empty trace probability one
+    assert trace_probabilities(_annotated(parallel_choice_swn()), [()]) == {}
+    net = LabeledPetriNet(
+        places=("source", "sink"),
+        transitions=("t",),
+        flow={("source", "t"): 1, ("t", "sink"): 1},
+        labeling={"t": None},
+        initial_marking={"source": 1},
+    )
+    swn = StochasticWorkflowNet(validate_workflow(net, "source", "sink"), {"t": 1.0})
+    assert trace_probabilities(_annotated(swn), [(), ("a",)]) == {(): 1.0}
+
+
+def test_trace_probabilities_empty_target_set_raises():
+    arg = _annotated(parallel_choice_swn())
+    with pytest.raises(ValueError, match="non-empty"):
+        trace_probabilities(arg, [])
+    with pytest.raises(ValueError, match="non-empty"):
+        trace_probabilities(arg, iter(()))
 
 
 def test_parallel_choice_exact_probabilities():
-    result = trace_probabilities(_annotated(parallel_choice_swn()), PrefixIndex(PARALLEL_CHOICE_PROBS))
+    result = trace_probabilities(_annotated(parallel_choice_swn()), PARALLEL_CHOICE_PROBS)
     assert set(result) == set(PARALLEL_CHOICE_PROBS)
     for trace, expected in PARALLEL_CHOICE_PROBS.items():
         assert abs(result[trace] - expected) <= 1e-12
@@ -58,13 +76,13 @@ def test_single_transition_net():
     from swnopt.nets import StochasticWorkflowNet
 
     swn = StochasticWorkflowNet(single_transition_wn(), {"a": 2.5})
-    result = trace_probabilities(_annotated(swn), PrefixIndex([("a",)]))
+    result = trace_probabilities(_annotated(swn), [("a",)])
     assert result == {("a",): 1.0}
 
 
 def test_two_loop_closed_forms_at_unit_weights():
     swn = two_loop_swn(1.0)
-    result = trace_probabilities(_annotated(swn), PrefixIndex([("Q", "A"), ("A", "A")]))
+    result = trace_probabilities(_annotated(swn), [("Q", "A"), ("A", "A")])
     assert result[("Q", "A")] == pytest.approx(1 / 27, rel=1e-12)
     assert result[("A", "A")] == pytest.approx(11 / 81, rel=1e-12)
 
@@ -74,13 +92,13 @@ def test_two_loop_closed_forms_at_random_weights(seed):
     rng = random.Random(seed)
     wn = two_loop_swn(1.0).wn
     weights = {t: rng.uniform(0.05, 5.0) for t in wn.net.transitions}
-    result = trace_probabilities(_annotated(two_loop_swn(weights)), PrefixIndex([("Q", "A"), ("A", "A")]))
+    result = trace_probabilities(_annotated(two_loop_swn(weights)), [("Q", "A"), ("A", "A")])
     assert result[("Q", "A")] == pytest.approx(closed_form_qa(weights), rel=1e-9)
     assert result[("A", "A")] == pytest.approx(closed_form_aa(weights), rel=1e-9)
 
 
 def test_unreachable_target_is_simply_absent():
-    result = trace_probabilities(_annotated(parallel_choice_swn()), PrefixIndex([("b", "a")]))
+    result = trace_probabilities(_annotated(parallel_choice_swn()), [("b", "a")])
     assert result == {}
 
 
@@ -94,7 +112,7 @@ def _livelock(w_go: float) -> StochasticWorkflowNet:
 def test_silent_livelock_is_exact(w_go):
     # the silent cycle is left with probability 1 / (1 + w_go) per visit, so
     # <a> is certain; the level-budgeted sweep gave 0.969 / 0.216 / 0.025
-    result = trace_probabilities(_annotated(_livelock(w_go)), PrefixIndex([("a",)]))
+    result = trace_probabilities(_annotated(_livelock(w_go)), [("a",)])
     assert result[("a",)] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -116,13 +134,13 @@ def test_exitless_silent_cycle_is_pruned():
     )
     weights = {"t_in": 1.0, "emit": 2.0, "t_out": 1.0, "t_trap": 3.0, "t_qr": 1.0, "t_rq": 1.0, "t_exit": 1.0}
     swn = StochasticWorkflowNet(validate_workflow(net, "source", "sink"), weights)
-    result = trace_probabilities(_annotated(swn), PrefixIndex([("a",)]))
+    result = trace_probabilities(_annotated(swn), [("a",)])
     assert result[("a",)] == pytest.approx(0.4, abs=1e-12)
 
 
 def test_escape_below_float_precision_scores_invalid():
     with pytest.raises(IllConditioned):
-        trace_probabilities(_annotated(_livelock(1e18)), PrefixIndex([("a",)]))
+        trace_probabilities(_annotated(_livelock(1e18)), [("a",)])
     spec = ObjectiveSpec.for_net("lh", silent_livelock_wn(), StochasticLanguage({("a",): 1.0}))
     weights = np.array([1.0, 1e18, 1.0, 1.0, 1.0])
     assert _score(spec, weights) == INVALID_OBJECTIVE
@@ -219,7 +237,7 @@ def test_restriction_consistency_exact():
         if not support:
             continue
         some = support[: max(1, len(support) // 2)]
-        restricted = trace_probabilities(arg, PrefixIndex(some))
+        restricted = trace_probabilities(arg, some)
         for trace in some:
             assert restricted[trace] == full.probs[trace]  # exact float equality
 
@@ -235,7 +253,7 @@ def test_probability_conservation_on_acyclic_nets():
 def test_weight_scaling_leaves_unfolding_unchanged():
     wn = two_loop_swn(1.0).wn
     base = {t: w for t, w in zip(wn.net.transitions, (0.4, 1.7, 0.8, 2.0, 1.0, 0.6, 1.2, 3.0, 0.5))}
-    targets = PrefixIndex([("A", "A"), ("Q", "A"), ("A", "A", "A")])
+    targets = [("A", "A"), ("Q", "A"), ("A", "A", "A")]
     reference = trace_probabilities(_annotated(two_loop_swn(base)), targets)
     for c in (0.1, 10.0, 1000.0):
         scaled = trace_probabilities(
@@ -249,7 +267,7 @@ def test_monte_carlo_agreement_two_loop():
     swn = two_loop_swn({"t1": 1.2, "t2": 0.7, "t3": 1.0, "t4": 1.0, "t5": 0.9,
                         "t6": 1.4, "t7": 0.8, "tA": 1.1, "tQ": 1.3})
     targets = [("A", "A"), ("Q", "A"), ("A", "A", "A")]
-    result = trace_probabilities(_annotated(swn), PrefixIndex(targets))
+    result = trace_probabilities(_annotated(swn), targets)
     n = 200_000
     counts = simulate_target_frequencies(swn, targets, n_runs=n, seed=99)
     for trace in targets:
