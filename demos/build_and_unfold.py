@@ -54,8 +54,9 @@ print("full language (residual", language.residual, "):")
 for trace, prob in sorted(language.probs.items()):
     print(f"  {''.join(trace)}: {prob:.6f}")
 
-# restricted to a target set: only paths that can still complete a target
-# trace are kept, and one linear solve gives their exact probabilities, even
-# through silent cycles; this is what makes long logs tractable
+# restricted to a target set, given as plain traces: only paths that can
+# still complete a target trace are kept, and one linear solve gives their
+# exact probabilities, even through silent cycles; this is what makes long
+# logs tractable
 result = trace_probabilities(annotated, [("a", "b", "c"), ("a", "d", "b")])
 print("restricted to {abc, adb}:", {("".join(t)): p for t, p in result.items()})

@@ -112,6 +112,7 @@ def test_out_arcs_list_each_state_arcs_in_index_order():
     for wn in (two_loop_wn(), parallel_choice_wn()):
         rg = build_rg(wn)
         assert len(rg.out_arcs) == rg.n_states
+        assert np.all(np.diff(rg.arc_src) >= 0)  # arcs numbered in order of their source state
         for s in range(rg.n_states):
             assert [a for a, _, _ in rg.out_arcs[s]] == np.flatnonzero(rg.arc_src == s).tolist()
 
