@@ -37,7 +37,7 @@ REPORT_SCHEMA = "stochastic-weights/report/1"
 
 def _read_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -11,8 +11,10 @@ transition; enabled transitions fire with probability proportional to their
 weight, so the weights matter only through their ratios.
 """
 
-from collections import deque
 from dataclasses import dataclass, field
+
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 from .errors import InputError
 
@@ -130,28 +132,11 @@ class WeightVector:
         return dict(zip(wn.net.transitions, self.values))
 
 
-def _strongly_connected(nodes, edges) -> bool:
-    """True iff the directed graph is strongly connected (empty graph: yes)."""
-    if not nodes:
-        return True
-    fwd: dict[str, list[str]] = {n: [] for n in nodes}
-    bwd: dict[str, list[str]] = {n: [] for n in nodes}
-    for src, dst in edges:
-        fwd[src].append(dst)
-        bwd[dst].append(src)
-
-    def reaches_all(adj):
-        start = next(iter(nodes))
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            for nxt in adj[queue.popleft()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return len(seen) == len(nodes)
-
-    return reaches_all(fwd) and reaches_all(bwd)
+def open_ends(net: LabeledPetriNet) -> tuple[list[str], list[str]]:
+    """The places without incoming arcs and the places without outgoing arcs, in place order."""
+    targets = {dst for _, dst in net.flow}
+    sources = {src for src, _ in net.flow}
+    return [p for p in net.places if p not in targets], [p for p in net.places if p not in sources]
 
 
 def validate_workflow(net: LabeledPetriNet, source: str, sink: str) -> WorkflowNet:
@@ -168,22 +153,13 @@ def validate_workflow(net: LabeledPetriNet, source: str, sink: str) -> WorkflowN
     if source == sink:
         raise NotAWorkflowNet("source and sink must be distinct places")
 
-    incoming = {p: 0 for p in net.places}
-    outgoing = {p: 0 for p in net.places}
-    for (src, dst) in net.flow:
-        if dst in incoming:
-            incoming[dst] += 1
-        if src in outgoing:
-            outgoing[src] += 1
-
-    if incoming[source]:
+    no_in, no_out = open_ends(net)
+    if source not in no_in:
         raise NotAWorkflowNet("source has incoming arc")
-    if outgoing[sink]:
+    if sink not in no_out:
         raise NotAWorkflowNet("sink has outgoing arc")
-    no_in = [p for p in net.places if incoming[p] == 0]
     if no_in != [source]:
         raise NotAWorkflowNet(f"places without incoming arcs must be exactly the source, got {no_in}")
-    no_out = [p for p in net.places if outgoing[p] == 0]
     if no_out != [sink]:
         raise NotAWorkflowNet(f"places without outgoing arcs must be exactly the sink, got {no_out}")
 
@@ -195,9 +171,13 @@ def validate_workflow(net: LabeledPetriNet, source: str, sink: str) -> WorkflowN
     if bad:
         raise NotAWorkflowNet(f"arc multiplicities must all equal 1, got {bad}")
 
-    nodes = list(net.places) + list(net.transitions)
-    edges = list(net.flow) + [(sink, "__feedback__"), ("__feedback__", source)]
-    if not _strongly_connected(nodes + ["__feedback__"], edges):
+    # the net plus a feedback node (index n) on the arcs sink -> feedback -> source
+    index = {node: i for i, node in enumerate((*net.places, *net.transitions))}
+    n = len(index)
+    arcs = [(index[src], index[dst]) for src, dst in net.flow] + [(index[sink], n), (n, index[source])]
+    rows, cols = zip(*arcs)
+    graph = csr_array(([1] * len(arcs), (rows, cols)), shape=(n + 1, n + 1))
+    if connected_components(graph, directed=True, connection="strong", return_labels=False) != 1:
         raise NotAWorkflowNet("net is not strongly connected after adding a sink->source transition")
 
     return WorkflowNet(net, source, sink)

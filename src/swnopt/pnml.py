@@ -9,19 +9,21 @@ a tool-specific block inside each ``<transition>``::
       <weight>0.35</weight>
     </toolspecific>
 
-where the weight text is a base-10 float with up to 17 significant digits.
+where the weight text is a base-10 float with up to 17 significant digits,
+finite and positive.
 A transition whose name is empty, absent, or the literal "tau"/"τ" is
 silent.  Unknown elements are ignored with a :class:`PnmlWarning` (real-world
 PNML carries tool noise); ``graphics`` and other ``inscription`` blocks are
 skipped silently.
 """
 
+import math
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
 from .errors import InputError
-from .nets import SILENT, LabeledPetriNet, StochasticWorkflowNet
+from .nets import SILENT, LabeledPetriNet, StochasticWorkflowNet, open_ends
 
 WEIGHT_TOOL = "stochastic-weights"
 WEIGHT_TOOL_VERSION = "1"
@@ -156,6 +158,8 @@ def parse_pnml(data: bytes | str) -> ParsedPnml:
                             weights[tid] = float(welem.text.strip())
                         except ValueError as exc:
                             raise MalformedPnml(f"bad weight on {tid!r}: {welem.text!r}") from exc
+                        if not (math.isfinite(weights[tid]) and weights[tid] > 0.0):
+                            raise MalformedPnml(f"weight on {tid!r} must be a finite positive number, got {welem.text!r}")
                     # other tools' blocks are expected noise, no warning
                 else:
                     _warn_unknown(c, f"transition {tid!r}")
@@ -206,8 +210,7 @@ def parse_pnml(data: bytes | str) -> ParsedPnml:
     unweighted = not weights
     full_weights = {t: weights.get(t, 1.0) for t in transitions}
 
-    no_in = [p for p in places if not any(dst == p for (_, dst) in flow)]
-    no_out = [p for p in places if not any(src == p for (src, _) in flow)]
+    no_in, no_out = open_ends(net)
     source = no_in[0] if len(no_in) == 1 else None
     sink = no_out[0] if len(no_out) == 1 else None
     return ParsedPnml(net, source, sink, full_weights, unweighted)

@@ -1,11 +1,12 @@
 """Token-game semantics and reachability graphs for 1-safe workflow nets.
 
-Markings of a 1-safe net are sets of marked places; internally the graph
-builder encodes them as integer bitmasks over the place order.  The
-reachability graph enumerates all markings reachable from the initial one,
-breadth first, with deterministic state numbering (discovery order, with
-transitions tried in declaration order), so state indices and arc order are
-reproducible across runs.
+Markings of a 1-safe net are sets of marked places, held internally as
+bitmasks over the place order.  One compiled firing rule (input and output
+place masks per transition) serves :func:`enabled`, :func:`fire` and
+:func:`build_rg`.  The reachability graph enumerates all markings reachable
+from the initial one, breadth first, with deterministic state numbering
+(discovery order, with transitions tried in declaration order), so state
+indices and arc order are reproducible across runs.
 
 Annotating the graph with a weight vector turns each state's outgoing arcs
 into a probability distribution: arc (M, M', t) gets weight(t) divided by the
@@ -39,48 +40,63 @@ class StateCapExceeded(ComputationError):
 DEFAULT_STATE_CAP = 1_000_000
 
 
-def _lpn(net) -> LabeledPetriNet:
-    return net.net if isinstance(net, WorkflowNet) else net
-
-
-def _pre_post(net: LabeledPetriNet, transition: str) -> tuple[set[str], set[str]]:
-    pre, post = set(), set()
+def _masks(net) -> tuple[LabeledPetriNet, dict[str, int], list[int], list[int]]:
+    """The labelled net, each place's bit and each transition's input and output place masks."""
+    net = net.net if isinstance(net, WorkflowNet) else net
+    bit = {p: 1 << i for i, p in enumerate(net.places)}
+    tid = {t: i for i, t in enumerate(net.transitions)}
+    pre, post = [0] * len(tid), [0] * len(tid)
     for (src, dst), mult in net.flow.items():
-        if dst == transition:
-            if mult != 1:
-                raise ValueError("token-game semantics require unit arc multiplicities")
-            pre.add(src)
-        elif src == transition:
-            if mult != 1:
-                raise ValueError("token-game semantics require unit arc multiplicities")
-            post.add(dst)
-    return pre, post
+        if mult != 1:
+            raise ValueError("token-game semantics require unit arc multiplicities")
+        if dst in tid:
+            pre[tid[dst]] |= bit[src]
+        else:
+            post[tid[src]] |= bit[dst]
+    return net, bit, pre, post
+
+
+def _places(net: LabeledPetriNet, mask: int) -> list[str]:
+    """The places set in ``mask``, in place order."""
+    return [p for i, p in enumerate(net.places) if mask >> i & 1]
+
+
+def _fire(net: LabeledPetriNet, mask: int, tid: int, pre: list[int], post: list[int]) -> int | None:
+    """The marking after transition ``tid`` fires in ``mask``, or None if it is not enabled."""
+    if mask & pre[tid] != pre[tid]:
+        return None
+    left = mask & ~pre[tid]
+    if left & post[tid]:
+        raise NotOneSafe(
+            f"firing {net.transitions[tid]!r} in marking {sorted(_places(net, mask))} "
+            f"would put a second token on {_places(net, left & post[tid])}"
+        )
+    return left | post[tid]
+
+
+def _mask(marking: Marking, bit: dict[str, int]) -> int:
+    if unknown := sorted(set(marking) - bit.keys()):
+        raise ValueError(f"marking names places that are not in the net: {unknown}")
+    return sum(bit[p] for p in set(marking))
 
 
 def enabled(marking: Marking, net) -> set[str]:
-    """Transitions whose input places are all marked."""
-    lpn = _lpn(net)
-    result = set()
-    for t in lpn.transitions:
-        pre, _ = _pre_post(lpn, t)
-        if pre <= marking:
-            result.add(t)
-    return result
+    """Transitions whose input places are all marked; raises as :func:`fire` does."""
+    net, bit, pre, post = _masks(net)
+    mask = _mask(marking, bit)
+    return {t for tid, t in enumerate(net.transitions) if _fire(net, mask, tid, pre, post) is not None}
 
 
 def fire(marking: Marking, transition: str, net) -> Marking:
-    """Fire an enabled transition: unmark its inputs, mark its outputs."""
-    lpn = _lpn(net)
-    if transition not in lpn.transitions:
+    """Fire an enabled transition: unmark its inputs, mark its outputs.  Raises
+    :class:`NotOneSafe` on a second token, ValueError on a place not in the net."""
+    net, bit, pre, post = _masks(net)
+    if transition not in net.transitions:
         raise NotEnabled(f"unknown transition {transition!r}")
-    pre, post = _pre_post(lpn, transition)
-    if not pre <= marking:
+    after = _fire(net, _mask(marking, bit), net.transitions.index(transition), pre, post)
+    if after is None:
         raise NotEnabled(f"{transition!r} is not enabled in {sorted(marking)}")
-    remaining = marking - pre
-    clash = remaining & post
-    if clash:
-        raise NotOneSafe(f"firing {transition!r} would put a second token on {sorted(clash)}")
-    return frozenset(remaining | post)
+    return frozenset(_places(net, after))
 
 
 @dataclass(frozen=True)
@@ -116,32 +132,20 @@ class ReachabilityGraph:
         return len(self.arc_src)
 
     def marking_of(self, state: int) -> Marking:
-        mask = self.states[state]
-        places = self.wn.net.places
-        return frozenset(places[i] for i in range(len(places)) if mask >> i & 1)
+        return frozenset(_places(self.wn.net, self.states[state]))
 
     def state_label(self, state: int) -> str:
         """Marked place names concatenated in place order."""
-        mask = self.states[state]
-        places = self.wn.net.places
-        return "".join(places[i] for i in range(len(places)) if mask >> i & 1)
+        return "".join(_places(self.wn.net, self.states[state]))
 
 
 def build_rg(wn: WorkflowNet, state_cap: int = DEFAULT_STATE_CAP) -> ReachabilityGraph:
     """Breadth-first reachability exploration of a 1-safe workflow net."""
     if state_cap <= 0:
         raise ValueError("state_cap must be positive")
-    net = wn.net
-    place_idx = {p: i for i, p in enumerate(net.places)}
-
-    pre_masks, post_masks = [], []
-    for t in net.transitions:
-        pre, post = _pre_post(net, t)
-        pre_masks.append(sum(1 << place_idx[p] for p in pre))
-        post_masks.append(sum(1 << place_idx[p] for p in post))
-
+    net, bit, pre, post = _masks(wn)
     labels = [net.labeling[t] for t in net.transitions]
-    initial = sum(1 << place_idx[p] for p, n in net.initial_marking.items() if n > 0)
+    initial = sum(bit[p] for p, n in net.initial_marking.items() if n > 0)
     state_index: dict[int, int] = {initial: 0}
     states: list[int] = [initial]
     arc_src: list[int] = []
@@ -151,20 +155,11 @@ def build_rg(wn: WorkflowNet, state_cap: int = DEFAULT_STATE_CAP) -> Reachabilit
     queue = deque([0])
     while queue:
         src = queue.popleft()
-        mask = states[src]
         row = []
-        for tid, (pre, post) in enumerate(zip(pre_masks, post_masks)):
-            if mask & pre != pre:
+        for tid in range(len(pre)):
+            new_mask = _fire(net, states[src], tid, pre, post)
+            if new_mask is None:
                 continue
-            left = mask & ~pre
-            if left & post:
-                clash = [net.places[i] for i in range(len(net.places)) if (left & post) >> i & 1]
-                raise NotOneSafe(
-                    f"firing {net.transitions[tid]!r} in marking "
-                    f"{sorted(frozenset(net.places[i] for i in range(len(net.places)) if mask >> i & 1))} "
-                    f"would put a second token on {clash}"
-                )
-            new_mask = left | post
             dst = state_index.get(new_mask)
             if dst is None:
                 if len(states) >= state_cap:
@@ -178,8 +173,7 @@ def build_rg(wn: WorkflowNet, state_cap: int = DEFAULT_STATE_CAP) -> Reachabilit
             arc_tid.append(tid)
         out_arcs.append(tuple(row))
 
-    sink_mask = 1 << place_idx[wn.sink]
-    sink_state = state_index.get(sink_mask)
+    sink_state = state_index.get(bit[wn.sink])
 
     def _frozen(values, dtype=np.int64):
         arr = np.asarray(values, dtype=dtype)
@@ -209,8 +203,8 @@ def annotate(rg: ReachabilityGraph, weights: WeightVector | np.ndarray) -> Annot
     values = np.asarray(weights.values if isinstance(weights, WeightVector) else weights, dtype=np.float64)
     if values.shape != (len(rg.wn.net.transitions),):
         raise ValueError(f"expected {len(rg.wn.net.transitions)} weights, got {values.shape}")
-    if not np.all(values > 0.0):
-        raise ValueError("weights must be strictly positive")
+    if not np.all(np.isfinite(values) & (values > 0.0)):
+        raise ValueError("weights must be finite and strictly positive")
     arc_w = values[rg.arc_tid]
     state_sums = np.bincount(rg.arc_src, weights=arc_w, minlength=rg.n_states)
     arc_prob = arc_w / state_sums[rg.arc_src]

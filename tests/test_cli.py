@@ -248,6 +248,15 @@ def test_config_keys_may_be_spelled_like_flags(workdir, capsys):
     assert "not an option" not in capsys.readouterr().err
 
 
+def test_config_file_with_byte_order_mark(workdir, capsys):
+    cfg = workdir / "run.cfg"
+    cfg.write_text("max_iter = 3\nn0 = 2\n", encoding="utf-8-sig")
+    assert main(_discover_args(workdir, seed="1") + ["--config", str(cfg)]) == 0
+    report = json.loads((workdir / "report.json").read_text())
+    assert report["max_iter"] == 3
+    assert "not an option" not in capsys.readouterr().err
+
+
 def test_evaluate_reference_weighted_net(workdir, capsys):
     code = main([
         "evaluate",
@@ -283,6 +292,17 @@ def test_evaluate_unweighted_net_uses_unit_weights(workdir, capsys, tmp_path):
     assert "no weights" in captured.err
     reports = json.loads(captured.out)
     assert reports[0]["value"] == pytest.approx(UNIFORM_BRANCH_LH, abs=1e-9)
+
+
+@pytest.mark.parametrize("weight", ["inf", "1e400", "nan", "0"])
+@pytest.mark.parametrize("command", ["evaluate", "unfold"])
+def test_weight_that_is_not_finite_positive_exits_2(workdir, capsys, command, weight):
+    bad = workdir / "bad.pnml"
+    bad.write_text((workdir / "net.pnml").read_text().replace("<weight>0.3</weight>", f"<weight>{weight}</weight>"))
+    extra = ["--log", str(workdir / "log.csv")] if command == "evaluate" else ["--coverage", "1.0"]
+    assert main([command, "--net", str(bad)] + extra) == 2
+    err = capsys.readouterr().err
+    assert "'b'" in err and "finite positive" in err
 
 
 def test_evaluate_partial_coverage_flagged_not_fatal(tmp_path, capsys):

@@ -36,6 +36,40 @@ def test_fire_reference_markings():
         fire(frozenset({"source"}), "ghost", wn)
 
 
+def test_token_game_agrees_with_the_reachability_graph():
+    for seed in range(20):
+        wn = random_workflow_net(random.Random(seed), max_transitions=12, allow_loops=True)
+        rg = build_rg(wn)
+        names = wn.net.transitions
+        for s in range(rg.n_states):
+            marking = rg.marking_of(s)
+            assert enabled(marking, wn) == {names[rg.arc_tid[a]] for a, _, _ in rg.out_arcs[s]}
+            for a, dst, _ in rg.out_arcs[s]:
+                assert fire(marking, names[rg.arc_tid[a]], wn) == rg.marking_of(dst)
+
+
+def test_marking_with_a_place_outside_the_net_is_rejected():
+    wn = parallel_choice_wn()
+    with pytest.raises(ValueError, match="ghost"):
+        enabled(frozenset({"source", "ghost"}), wn)
+    with pytest.raises(ValueError, match="ghost"):
+        fire(frozenset({"source", "ghost"}), "a", wn)
+
+
+def test_token_game_requires_unit_arcs():
+    net = LabeledPetriNet(
+        places=("source", "p", "sink"),
+        transitions=("t1", "t2"),
+        flow={("source", "t1"): 1, ("t1", "p"): 1, ("p", "t2"): 2, ("t2", "sink"): 1},
+        labeling={"t1": "a", "t2": "b"},
+        initial_marking={"source": 1},
+    )
+    with pytest.raises(ValueError, match="unit arc"):
+        fire(frozenset({"source"}), "t1", net)
+    with pytest.raises(ValueError, match="unit arc"):
+        enabled(frozenset({"source"}), net)
+
+
 def test_fire_detects_one_safety_violation():
     net = LabeledPetriNet(
         places=("source", "p", "q", "sink"),
@@ -53,8 +87,10 @@ def test_fire_detects_one_safety_violation():
         labeling={"t1": None, "t2": None, "t3": None},
         initial_marking={"source": 1},
     )
-    with pytest.raises(NotOneSafe):
+    with pytest.raises(NotOneSafe, match=r"'t2' in marking \['p', 'q'\] would put a second token on \['p'\]"):
         fire(frozenset({"p", "q"}), "t2", net)
+    with pytest.raises(NotOneSafe):
+        enabled(frozenset({"p", "q"}), net)
     wn = validate_workflow(net, "source", "sink")
     with pytest.raises(NotOneSafe):
         build_rg(wn)
@@ -178,6 +214,9 @@ def test_annotate_validates_alignment_and_positivity():
         annotate(rg, np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         annotate(rg, np.array([1.0, 1.0, 1.0, 1.0, 0.0]))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            annotate(rg, np.array([1.0, 1.0, 1.0, 1.0, bad]))
 
 
 def _renamed(wn, mapping):
