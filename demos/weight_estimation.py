@@ -61,7 +61,7 @@ for measure in ("lh", "remd"):
     config = OptimizerConfig(n0=10, max_iter=50, delta=1e-3, seed=42)
     result = optimized_weights(spec, config)
     print(f"measure {measure}: {result.final_value:.6g} after {result.iterations} iterations ({result.stop_reason})")
-    print("  weights:", {t: round(w, 4) for t, w in result.weights.to_mapping(wn).items()})
+    print("  weights:", {t: round(w, 4) for t, w in zip(wn.net.transitions, result.weights.tolist())})
     print("  convergence:", " -> ".join(f"{v:.4g}" for _, v in result.trace))
     print()
 

@@ -37,7 +37,6 @@ from .nets import (
     SILENT,
     LabeledPetriNet,
     StochasticWorkflowNet,
-    WeightVector,
     WorkflowNet,
     validate_workflow,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "StochasticWorkflowNet",
     "Trace",
     "TransportPlan",
-    "WeightVector",
     "WorkflowNet",
     "annotate",
     "build_rg",

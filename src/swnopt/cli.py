@@ -150,7 +150,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
     result = optimized_weights(spec, config)
     timings["optimize"] = time.perf_counter() - t0
 
-    weights = result.weights.to_mapping(wn)
+    weights = dict(zip(wn.net.transitions, result.weights.tolist()))
     Path(args.out_net).write_bytes(write_pnml(StochasticWorkflowNet(wn, weights)))
     Path(args.out_convergence).write_text(result.trace_csv(), encoding="utf-8")
 

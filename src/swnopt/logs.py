@@ -195,7 +195,11 @@ def parse_csv(data: bytes | str, case_col: str, activity_col: str, time_col: str
 
 
 def write_csv(log: EventLog, case_col: str = "case", activity_col: str = "activity") -> str:
-    """Expand an event log back into rows, one synthetic case per trace copy."""
+    """Expand an event log back into rows, one synthetic case per trace copy.
+    An empty case would have no row, so a log with one raises :class:`InputError`."""
+    empty = log.entries.get((), 0)
+    if empty:
+        raise InputError(f"CSV has one row per event and cannot hold the log's {empty} empty case(s)")
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow([case_col, activity_col])

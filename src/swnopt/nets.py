@@ -6,13 +6,17 @@ multiplicities, a labelling that maps each transition to an activity symbol
 additionally has a unique source and sink place, starts with a single token
 on the source, uses only unit arc multiplicities, and becomes strongly
 connected once a feedback transition from sink to source is added.  A
-stochastic workflow net attaches a strictly positive weight to every
+stochastic workflow net attaches a finite positive weight to every
 transition; enabled transitions fire with probability proportional to their
-weight, so the weights matter only through their ratios.
+weight, so the weights matter only through their ratios.  Inside the
+library a weight vector is a float array in transition declaration order; a
+dict keyed by transition id appears only at the file edge (PNML, reports).
 """
 
+import math
 from dataclasses import dataclass, field
 
+import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
@@ -89,47 +93,29 @@ class WorkflowNet:
             raise ValueError("source/sink must be declared places")
 
 
+def is_weight(w) -> bool:
+    """A weight is a finite positive number."""
+    return math.isfinite(w) and w > 0.0
+
+
 @dataclass(frozen=True)
 class StochasticWorkflowNet:
-    """A workflow net whose transitions carry strictly positive weights."""
+    """A workflow net whose transitions carry finite positive weights, stored as floats."""
 
     wn: WorkflowNet
     weights: dict[str, float]
 
     def __post_init__(self):
-        tset = set(self.wn.net.transitions)
-        if set(self.weights) != tset:
+        if set(self.weights) != set(self.wn.net.transitions):
             raise ValueError("weights must be total over transitions")
         for t, w in self.weights.items():
-            if not (w > 0.0):
-                raise ValueError(f"weight of {t!r} must be > 0, got {w}")
+            if not is_weight(w):
+                raise ValueError(f"weight of {t!r} must be a finite positive number, got {w}")
+        object.__setattr__(self, "weights", {t: float(w) for t, w in self.weights.items()})
 
-    def weight_vector(self) -> "WeightVector":
-        return WeightVector(tuple(self.weights[t] for t in self.wn.net.transitions))
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Positive weights aligned with a net's transition declaration order."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        for v in self.values:
-            if not (v > 0.0):
-                raise ValueError(f"weights must be strictly positive, got {v}")
-
-    def __len__(self):
-        return len(self.values)
-
-    @classmethod
-    def from_mapping(cls, wn: WorkflowNet, weights: dict[str, float]) -> "WeightVector":
-        return cls(tuple(weights[t] for t in wn.net.transitions))
-
-    def to_mapping(self, wn: WorkflowNet) -> dict[str, float]:
-        if len(self.values) != len(wn.net.transitions):
-            raise ValueError("weight vector not aligned with net")
-        return dict(zip(wn.net.transitions, self.values))
+    def weight_vector(self) -> np.ndarray:
+        """The weights as a float array in transition declaration order."""
+        return np.array([self.weights[t] for t in self.wn.net.transitions])
 
 
 def open_ends(net: LabeledPetriNet) -> tuple[list[str], list[str]]:

@@ -59,7 +59,7 @@ from .distances import (
     restricted_emd,
 )
 from .logs import StochasticLanguage
-from .nets import WeightVector, WorkflowNet
+from .nets import WorkflowNet
 from .semantics import ReachabilityGraph, annotate, build_rg, log_weight_gradient
 from .unfolding import IllConditioned, PrefixProduct
 
@@ -137,10 +137,10 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Weights (rescaled so max(w) == 1), final objective value, and the
-    per-iteration convergence trace (non-increasing)."""
+    """Weights (a read-only array in transition order, rescaled so max(w) == 1),
+    final objective value, and the per-iteration convergence trace (non-increasing)."""
 
-    weights: WeightVector
+    weights: np.ndarray
     final_value: float
     iterations: int
     stop_reason: str
@@ -152,10 +152,9 @@ class OptimizationResult:
         return "\n".join(lines) + "\n"
 
 
-def evaluate_objective(
-    spec: ObjectiveSpec, weights: WeightVector | np.ndarray, gradient: bool = False
-) -> float | tuple[float, np.ndarray]:
-    """Divergence of the net under the given weights; pure in ``weights``.
+def evaluate_objective(spec: ObjectiveSpec, weights, gradient: bool = False) -> float | tuple[float, np.ndarray]:
+    """Divergence of the net under ``weights`` (a float sequence in transition
+    order, as for :func:`annotate`); pure in ``weights``.
 
     With ``gradient`` (lh only) it returns ``(value, ∂value/∂log w)``, both
     from the one LU factor of the trace-probability solve.
@@ -190,7 +189,7 @@ def draw_starts(spec: ObjectiveSpec, config: OptimizerConfig) -> np.ndarray:
     return rng.uniform(INIT_LOW, 1.0, size=(config.n0, spec.n_weights))
 
 
-def select_start(spec: ObjectiveSpec, config: OptimizerConfig) -> WeightVector:
+def select_start(spec: ObjectiveSpec, config: OptimizerConfig) -> np.ndarray:
     """Best of n0 seeded random draws; ties broken by earliest draw."""
     starts = draw_starts(spec, config)
     values = [_score(spec, row) for row in starts]
@@ -199,15 +198,15 @@ def select_start(spec: ObjectiveSpec, config: OptimizerConfig) -> WeightVector:
         raise AllStartsInvalid(
             f"all {config.n0} starts had zero model mass on the log or ill-conditioned trace probabilities"
         )
-    return WeightVector(tuple(float(v) for v in starts[best]))
+    return starts[best]
 
 
-def minimize(spec: ObjectiveSpec, w0: WeightVector, config: OptimizerConfig) -> OptimizationResult:
-    """Local minimization from ``w0`` in log-weight space within
+def minimize(spec: ObjectiveSpec, w0, config: OptimizerConfig) -> OptimizationResult:
+    """Local minimization from the weights ``w0`` (transition order) in log-weight space within
     :data:`WEIGHT_BOUNDS`, by the measure's method; returns the best point evaluated."""
     with_gradient = spec.measure == "lh"
     lo, hi = math.log(WEIGHT_BOUNDS[0]), math.log(WEIGHT_BOUNDS[1])
-    x0 = np.clip(np.log(np.asarray(w0.values, dtype=np.float64)), lo, hi)
+    x0 = np.clip(np.log(np.asarray(w0, dtype=np.float64)), lo, hi)
     best = {"value": math.inf, "x": x0}
     trace = []
 
@@ -243,8 +242,9 @@ def minimize(spec: ObjectiveSpec, w0: WeightVector, config: OptimizerConfig) -> 
         stop = STOP_NO_IMPROVEMENT
     weights = np.exp(best["x"])
     weights = weights / weights.max()  # gauge: report with max weight 1
+    weights.flags.writeable = False
     return OptimizationResult(
-        weights=WeightVector(tuple(float(v) for v in weights)),
+        weights=weights,
         final_value=best["value"],
         iterations=len(trace) - 1,
         stop_reason=stop,

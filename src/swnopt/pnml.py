@@ -17,13 +17,12 @@ PNML carries tool noise); ``graphics`` and other ``inscription`` blocks are
 skipped silently.
 """
 
-import math
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
 from .errors import InputError
-from .nets import SILENT, LabeledPetriNet, StochasticWorkflowNet, open_ends
+from .nets import SILENT, LabeledPetriNet, StochasticWorkflowNet, is_weight, open_ends
 
 WEIGHT_TOOL = "stochastic-weights"
 WEIGHT_TOOL_VERSION = "1"
@@ -158,7 +157,7 @@ def parse_pnml(data: bytes | str) -> ParsedPnml:
                             weights[tid] = float(welem.text.strip())
                         except ValueError as exc:
                             raise MalformedPnml(f"bad weight on {tid!r}: {welem.text!r}") from exc
-                        if not (math.isfinite(weights[tid]) and weights[tid] > 0.0):
+                        if not is_weight(weights[tid]):
                             raise MalformedPnml(f"weight on {tid!r} must be a finite positive number, got {welem.text!r}")
                     # other tools' blocks are expected noise, no warning
                 else:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, InputError
-from .nets import LabeledPetriNet, WeightVector, WorkflowNet
+from .nets import LabeledPetriNet, WorkflowNet
 
 Marking = frozenset[str]
 
@@ -198,9 +198,10 @@ class AnnotatedRG:
     arc_prob: np.ndarray
 
 
-def annotate(rg: ReachabilityGraph, weights: WeightVector | np.ndarray) -> AnnotatedRG:
-    """Attach firing probabilities: weight(t) over the enabled total per state."""
-    values = np.asarray(weights.values if isinstance(weights, WeightVector) else weights, dtype=np.float64)
+def annotate(rg: ReachabilityGraph, weights) -> AnnotatedRG:
+    """Attach firing probabilities: weight(t) over the enabled total per state,
+    for ``weights`` any sequence of finite positive floats in transition order."""
+    values = np.asarray(weights, dtype=np.float64)
     if values.shape != (len(rg.wn.net.transitions),):
         raise ValueError(f"expected {len(rg.wn.net.transitions)} weights, got {values.shape}")
     if not np.all(np.isfinite(values) & (values > 0.0)):
@@ -224,15 +225,19 @@ def log_weight_gradient(arg: AnnotatedRG, arc_grad: np.ndarray) -> np.ndarray:
     return np.bincount(rg.arc_tid, p * (arc_grad - mean_out[rg.arc_src]), len(rg.wn.net.transitions))
 
 
+def _dot_quote(text: str) -> str:
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def rg_to_dot(rg: ReachabilityGraph, arc_prob: np.ndarray | None = None) -> str:
     """GraphViz dump; state labels concatenate the marked place names."""
     lines = ["digraph rg {"]
     for s in range(rg.n_states):
         shape = "doublecircle" if s == rg.sink_state else "circle"
-        lines.append(f'  s{s} [label="{rg.state_label(s)}" shape={shape}];')
+        lines.append(f'  s{s} [label="{_dot_quote(rg.state_label(s))}" shape={shape}];')
     for s, row in enumerate(rg.out_arcs):
         for a, dst, symbol in row:
-            label = symbol or "τ"
+            label = _dot_quote(symbol or "τ")
             if arc_prob is not None:
                 label += f" {arc_prob[a]:.4g}"
             lines.append(f'  s{s} -> s{dst} [label="{label}"];')

@@ -249,8 +249,10 @@ def unfold_language(
     rg = arg.rg
     if max_level is None:
         max_level = (1 + (max_trace_len or rg.n_states)) * rg.n_states
-    if max_level <= 0 or prob_floor < 0:
-        raise ValueError("limits must be positive")
+    if max_level <= 0:
+        raise ValueError("max_level must be >= 1")
+    if not (prob_floor >= 0.0):
+        raise ValueError(f"prob_floor must be a number >= 0, got {prob_floor}")
 
     # a path the length budget stops leaves its mass in the residual
     trie = _Trie(max_trace_len if max_trace_len is not None else math.inf)

@@ -71,7 +71,7 @@ def simulate_target_frequencies(
     )
     table, member, node_of = _target_automaton(targets, alphabet)
 
-    weights = np.array([swn.weights[t] for t in net.transitions], dtype=np.float64)
+    weights = swn.weight_vector()
     initial = sum(1 << place_idx[p] for p, n in net.initial_marking.items() if n > 0)
     sink_mask = np.int64(1 << place_idx[swn.wn.sink])
 

@@ -7,7 +7,7 @@ import pytest
 
 from swnopt import cli
 from swnopt.cli import main
-from swnopt.logs import parse_csv, parse_xes, write_csv
+from swnopt.logs import EventLog, parse_csv, parse_xes, write_csv, write_xes
 from swnopt.optimize import OptimizerConfig
 from swnopt.pnml import parse_pnml, write_pnml
 from swnopt.semantics import DEFAULT_STATE_CAP
@@ -424,6 +424,12 @@ def test_unfold_empty_log_exits_2(workdir, capsys):
     capsys.readouterr()
 
 
+def test_unfold_prob_floor_nan_exits_2(workdir, capsys):
+    args = ["unfold", "--net", str(workdir / "net.pnml"), "--coverage", "0.9", "--prob-floor", "nan"]
+    assert main(args) == 2
+    assert "prob_floor must be a number >= 0, got nan" in capsys.readouterr().err
+
+
 def test_unfold_needs_log_or_coverage(workdir, capsys):
     assert main(["unfold", "--net", str(workdir / "net.pnml")]) == 2
     capsys.readouterr()
@@ -437,6 +443,15 @@ def test_convert_csv_xes_roundtrip(workdir, tmp_path):
     original = parse_csv((workdir / "log.csv").read_text(), "case", "activity")
     assert parse_xes(xes.read_bytes()).entries == original.entries
     assert parse_csv(back.read_text(), "case", "activity").entries == original.entries
+
+
+def test_convert_log_with_empty_cases_to_csv_exits_2(tmp_path, capsys):
+    xes = tmp_path / "log.xes"
+    xes.write_bytes(write_xes(EventLog({(): 2, ("a",): 1})))
+    out = tmp_path / "log.csv"
+    assert main(["convert", "--in", str(xes), "--out", str(out)]) == 2
+    assert "2 empty case" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_convert_pnml_canonicalization_idempotent(workdir, tmp_path):

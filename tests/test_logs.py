@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from swnopt.errors import InputError
 from swnopt.logs import (
     EmptyLog,
     EventLog,
@@ -126,6 +127,38 @@ def test_parse_xes_empty_trace_allowed():
     assert log.entries == {(): 1}
 
 
+def test_parse_xes_namespaced_document():
+    ns = 'xmlns="http://www.xes-standard.org/"'
+    doc = f'<log {ns} xes.version="1.0">{_xes_trace("A", "B")}{_xes_trace("A", "B")}</log>'
+    assert parse_xes(doc).entries == {("A", "B"): 2}
+    with pytest.raises(MalformedXes, match="expected <log> root, got <trace>"):
+        parse_xes(f"<trace {ns}>{_xes_trace('A')}</trace>")
+
+
+def test_parse_xes_ignores_children_that_are_not_traces_or_events():
+    event = '<event><string key="concept:name" value="{}"/></event>'
+    doc = XES.format(
+        traces='<global scope="event"><string key="concept:name" value="G"/></global>'
+        '<trace><string key="concept:name" value="case 1"/>'
+        + event.format("A")
+        + '<container key="nested">' + event.format("N") + "</container>"
+        + event.format("C")
+        + "</trace>"
+    )
+    assert parse_xes(doc).entries == {("A", "C"): 1}
+
+
+def test_parse_xes_first_concept_name_of_an_event_wins():
+    doc = XES.format(
+        traces="<trace>"
+        '<event><string key="concept:name" value="first"/><string key="concept:name" value="second"/></event>'
+        '<event><list key="l"><string key="concept:name" value="nested"/></list>'
+        '<string key="concept:name" value="direct"/></event>'
+        "</trace>"
+    )
+    assert parse_xes(doc).entries == {("first", "direct"): 1}
+
+
 def test_parse_csv_row_order_grouping():
     data = "case,activity\nc1,A\nc1,B\nc2,A\n"
     log = parse_csv(data, "case", "activity")
@@ -189,6 +222,12 @@ def test_parse_csv_case_permutation_invariance():
 def test_csv_roundtrip_preserves_frequencies():
     log = parallel_choice_log()
     assert parse_csv(write_csv(log), "case", "activity").entries == log.entries
+
+
+def test_write_csv_refuses_empty_cases():
+    # one row per event leaves an empty case no row, so it would be lost
+    with pytest.raises(InputError, match="2 empty case"):
+        write_csv(EventLog({(): 2, ("a",): 1}))
 
 
 def test_xes_roundtrip_preserves_frequencies():

@@ -1,13 +1,14 @@
+import math
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from swnopt.nets import (
     LabeledPetriNet,
     NotAWorkflowNet,
     StochasticWorkflowNet,
-    WeightVector,
     validate_workflow,
 )
 
@@ -116,15 +117,12 @@ def test_lpn_alphabet_is_derived_from_labels():
 
 def test_weight_vector_positivity_and_alignment():
     wn = parallel_choice_wn()
-    with pytest.raises(ValueError):
-        WeightVector((1.0, 0.0))
-    with pytest.raises(ValueError):
-        WeightVector((1.0, -2.0))
-    wv = WeightVector.from_mapping(wn, {"a": 1, "b": 2, "c": 3, "d": 4, "tau": 5})
-    assert wv.values == (1, 2, 3, 4, 5)
-    assert wv.to_mapping(wn)["tau"] == 5
-    with pytest.raises(ValueError):
-        WeightVector((1.0,)).to_mapping(wn)
+    for bad in (0.0, -2.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite positive"):
+            StochasticWorkflowNet(wn, {"a": 1, "b": bad, "c": 3, "d": 4, "tau": 5})
+    swn = StochasticWorkflowNet(wn, {"tau": 5, "a": 1, "b": np.float64(2), "c": 3, "d": 4})
+    assert swn.weight_vector().tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert all(type(w) is float for w in swn.weights.values())
 
 
 def test_swn_requires_total_positive_weights():

@@ -8,7 +8,6 @@ import swnopt.optimize
 import swnopt.unfolding
 from swnopt.distances import P_CLAMP, log_likelihood_gradient
 from swnopt.logs import StochasticLanguage, log_language
-from swnopt.nets import WeightVector
 from swnopt.optimize import (
     AllStartsInvalid,
     INVALID_OBJECTIVE,
@@ -43,7 +42,7 @@ def _pc_spec(measure):
 
 
 def _pc_weights():
-    return WeightVector.from_mapping(parallel_choice_wn(), PARALLEL_CHOICE_WEIGHTS)
+    return [PARALLEL_CHOICE_WEIGHTS[t] for t in parallel_choice_wn().net.transitions]
 
 
 def test_objective_spec_validation():
@@ -112,7 +111,7 @@ def test_select_start_returns_single_draw_for_n0_1():
     spec = _pc_spec("lh")
     config = OptimizerConfig(n0=1, seed=123)
     start = select_start(spec, config)
-    assert np.allclose(start.values, draw_starts(spec, config)[0])
+    assert np.allclose(start, draw_starts(spec, config)[0])
 
 
 def test_select_start_is_argmin_and_deterministic():
@@ -120,7 +119,7 @@ def test_select_start_is_argmin_and_deterministic():
     config = OptimizerConfig(n0=10, seed=7)
     start1 = select_start(spec, config)
     start2 = select_start(spec, config)
-    assert start1 == start2
+    assert start1.tolist() == start2.tolist()
     values = [evaluate_objective(spec, row) for row in draw_starts(spec, config)]
     assert evaluate_objective(spec, start1) == min(values)
 
@@ -131,7 +130,7 @@ def test_select_start_tie_break_earliest_draw():
     spec = ObjectiveSpec.for_net("lh", single_transition_wn(), StochasticLanguage({("a",): 1.0}))
     config = OptimizerConfig(n0=8, seed=3)
     start = select_start(spec, config)
-    assert np.allclose(start.values, draw_starts(spec, config)[0])
+    assert np.allclose(start, draw_starts(spec, config)[0])
 
 
 def test_all_starts_invalid():
@@ -166,7 +165,8 @@ def test_minimize_reaches_reference_optima(measure):
     assert all(b <= a for a, b in zip(values, values[1:]))
     assert result.final_value == values[-1]
     assert result.iterations == len(values) - 1
-    assert max(result.weights.values) == pytest.approx(1.0)
+    assert result.weights.max() == pytest.approx(1.0)
+    assert not result.weights.flags.writeable
 
 
 def _two_loop_spec(measure):
@@ -219,12 +219,12 @@ def test_max_iter_one_stops_after_one_iteration():
 
 def test_minimize_constant_objective_stops_without_moving():
     spec = ObjectiveSpec.for_net("lh", single_transition_wn(), StochasticLanguage({("a",): 1.0}))
-    w0 = WeightVector((0.5,))
+    w0 = [0.5]
     result = minimize(spec, w0, OptimizerConfig(n0=1, max_iter=1, seed=0))
     assert result.stop_reason in ("MaxIter", "NoImprovement", "DeltaConverged")
     assert result.iterations <= 1
     # the reported weights are the (gauge-fixed) start
-    assert result.weights.values == (1.0,)
+    assert result.weights.tolist() == [1.0]
     assert result.final_value == 0.0  # the single trace has probability 1
 
 
@@ -233,7 +233,7 @@ def test_minimize_never_worse_than_start():
         spec = _pc_spec(measure)
         rng = np.random.default_rng(9)
         for _ in range(3):
-            w0 = WeightVector(tuple(rng.uniform(0.05, 1.0, 5)))
+            w0 = rng.uniform(0.05, 1.0, 5)
             start_value = evaluate_objective(spec, w0)
             result = minimize(spec, w0, OptimizerConfig(max_iter=5, seed=0))
             assert result.final_value <= start_value + 1e-12
@@ -245,7 +245,7 @@ def test_optimized_weights_deterministic():
     r1 = optimized_weights(spec, config)
     r2 = optimized_weights(spec, config)
     assert r1.trace == r2.trace  # bitwise-equal values
-    assert r1.weights == r2.weights
+    assert r1.weights.tolist() == r2.weights.tolist()
     assert r1.stop_reason == r2.stop_reason
 
 
@@ -421,7 +421,7 @@ def _failing_far_from_start(monkeypatch, radius):
 
 def test_lh_minimize_survives_invalid_line_search_trials(monkeypatch):
     spec = _two_loop_spec("lh")
-    w0 = WeightVector(tuple(np.random.default_rng(1).uniform(0.2, 1.0, spec.n_weights)))
+    w0 = np.random.default_rng(1).uniform(0.2, 1.0, spec.n_weights)
     radius = 0.05
     state = _failing_far_from_start(monkeypatch, radius)
     result = minimize(spec, w0, OptimizerConfig(max_iter=20, seed=0))
@@ -459,7 +459,7 @@ def test_lh_non_finite_gradient_is_scored_invalid(monkeypatch):
         return returned[-1]
 
     monkeypatch.setattr(swnopt.optimize, "_score", recording)
-    w0 = WeightVector(tuple(np.random.default_rng(1).uniform(0.2, 1.0, spec.n_weights)))
+    w0 = np.random.default_rng(1).uniform(0.2, 1.0, spec.n_weights)
     result = minimize(spec, w0, OptimizerConfig(max_iter=20, seed=0))
     assert any(value == INVALID_OBJECTIVE for value, _ in returned)
     assert all(np.all(np.isfinite(grad)) for _, grad in returned)
@@ -496,9 +496,9 @@ def objective_calls(monkeypatch):
 @pytest.mark.parametrize("measure", MEASURES)
 def test_minimize_scores_start_once(objective_calls, measure):
     spec = _two_loop_spec(measure)
-    w0 = WeightVector(tuple(np.random.default_rng(1).uniform(0.2, 1.0, spec.n_weights)))
+    w0 = np.random.default_rng(1).uniform(0.2, 1.0, spec.n_weights)
     result = minimize(spec, w0, OptimizerConfig(max_iter=5, seed=0))
-    start = np.exp(np.log(np.asarray(w0.values)))
+    start = np.exp(np.log(w0))
     assert np.array_equal(objective_calls[0], start)
     assert sum(np.array_equal(w, start) for w in objective_calls) == 1
     assert result.trace[0] == (0, evaluate_objective(spec, w0))

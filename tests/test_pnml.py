@@ -1,5 +1,7 @@
+import math
 import random
 
+import numpy as np
 import pytest
 
 from swnopt.nets import SILENT, NotAWorkflowNet, StochasticWorkflowNet, validate_workflow
@@ -117,6 +119,21 @@ def test_tiny_weight_preserved_exactly():
     parsed = parse_pnml(out)
     assert parsed.weights["b"] == 1e-9
     assert parsed.weights["c"] == 0.1 + 0.2
+
+
+@pytest.mark.parametrize(
+    "w",
+    [np.float64(0.5), np.float32(0.1), 2, math.inf, math.nan, 0.0],
+    ids=["float64", "float32", "int", "inf", "nan", "zero"],
+)
+def test_every_weight_a_net_accepts_round_trips(w):
+    swn = parallel_choice_swn()
+    try:
+        accepted = StochasticWorkflowNet(swn.wn, dict(swn.weights, b=w))
+    except ValueError:
+        assert not (math.isfinite(w) and w > 0)
+        return
+    assert parse_pnml(write_pnml(accepted)).weights["b"] == float(w)
 
 
 def _canonical(net, weights):

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from swnopt.nets import LabeledPetriNet, WeightVector, validate_workflow
+from swnopt.nets import LabeledPetriNet, validate_workflow
 from swnopt.semantics import (
     NotEnabled,
     NotOneSafe,
@@ -170,7 +170,7 @@ def test_annotate_simple_normalization():
     )
     wn = validate_workflow(net, "source", "sink")
     rg = build_rg(wn)
-    arg = annotate(rg, WeightVector((1.0, 2.0, 3.0)))
+    arg = annotate(rg, [1.0, 2.0, 3.0])
     mid = next(s for s in range(rg.n_states) if rg.marking_of(s) == {"m"})
     probs = sorted(arg.arc_prob[a] for a, _, _ in rg.out_arcs[mid])
     assert probs == pytest.approx([0.4, 0.6], abs=1e-15)
@@ -179,7 +179,7 @@ def test_annotate_simple_normalization():
 def test_annotate_reference_branch_probabilities():
     wn = parallel_choice_wn()
     rg = build_rg(wn)
-    arg = annotate(rg, WeightVector.from_mapping(wn, {"a": 1, "b": 0.3, "c": 0.35, "d": 0.35, "tau": 1}))
+    arg = annotate(rg, [1, 0.3, 0.35, 0.35, 1])
     state = next(s for s in range(rg.n_states) if rg.marking_of(s) == {"p2", "p3"})
     by_transition = {wn.net.transitions[rg.arc_tid[a]]: arg.arc_prob[a] for a, _, _ in rg.out_arcs[state]}
     assert by_transition == pytest.approx({"b": 0.3, "c": 0.35, "d": 0.35})
@@ -260,6 +260,20 @@ def test_dot_export_mentions_states_and_labels():
     assert '"source"' in dot
     assert '"p2p3"' in dot  # concatenated marked place names
     assert '"τ"' in dot
-    arg = annotate(rg, WeightVector((1, 0.3, 0.35, 0.35, 1)))
+    arg = annotate(rg, [1, 0.3, 0.35, 0.35, 1])
     dot_probs = rg_to_dot(rg, arg.arc_prob)
     assert "0.35" in dot_probs
+
+
+def test_dot_export_escapes_quotes_and_backslashes():
+    net = LabeledPetriNet(
+        places=("source", 'p"q', "sink"),
+        transitions=("t1", "t2"),
+        flow={("source", "t1"): 1, ("t1", 'p"q'): 1, ('p"q', "t2"): 1, ("t2", "sink"): 1},
+        labeling={"t1": 'say "hi"', "t2": "a\\b"},
+        initial_marking={"source": 1},
+    )
+    dot = rg_to_dot(build_rg(validate_workflow(net, "source", "sink")))
+    assert 's1 [label="p\\"q" shape=circle];' in dot
+    assert 's0 -> s1 [label="say \\"hi\\""];' in dot
+    assert 's1 -> s2 [label="a\\\\b"];' in dot

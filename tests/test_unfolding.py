@@ -184,6 +184,12 @@ def test_unfold_language_prob_floor_moves_mass_to_residual():
     assert lang.residual == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("floor", [float("nan"), -1.0])
+def test_unfold_language_refuses_a_floor_that_is_not_a_number_at_least_0(floor):
+    with pytest.raises(ValueError, match=f"prob_floor must be a number >= 0, got {floor}"):
+        unfold_language(_annotated(parallel_choice_swn()), coverage=0.9, prob_floor=floor)
+
+
 def test_unfold_language_complete_reference():
     lang = unfold_language(_annotated(parallel_choice_swn()), coverage=1.0)
     assert lang.residual == 0.0
