@@ -25,14 +25,17 @@ from .distances import (
     truncated_emd,
 )
 from .errors import ComputationError, InputError
-from .logs import EmptyLog, EventLog, StochasticLanguage, log_language, parse_csv, parse_xes, write_csv, write_xes
+from .logs import EmptyLog, EventLog, log_language, parse_csv, parse_xes, write_csv, write_xes
 from .nets import StochasticWorkflowNet, validate_workflow
-from .optimize import METHODS, ObjectiveSpec, OptimizerConfig, optimized_weights
+from .optimize import MEASURES, METHODS, ObjectiveSpec, OptimizerConfig, optimized_weights
 from .pnml import parse_pnml, write_pnml
-from .semantics import DEFAULT_STATE_CAP, AnnotatedRG, annotate, build_rg
-from .unfolding import DEFAULT_PROB_FLOOR, trace_probabilities, unfold_language
+from .semantics import DEFAULT_STATE_CAP, annotate, build_rg
+from .unfolding import trace_probabilities, unfold_language
 
 REPORT_SCHEMA = "stochastic-weights/report/1"
+
+#: What `evaluate --measures` may list: the optimization measures, plus tEMD.
+EVALUATE_MEASURES = MEASURES + ("temd",)
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -102,16 +105,6 @@ def _load_workflow(path: str, args: argparse.Namespace):
         )
     wn = validate_workflow(parsed.net, source, sink)
     return wn, parsed
-
-
-def _unfold(annotated: AnnotatedRG, args: argparse.Namespace) -> StochasticLanguage:
-    return unfold_language(
-        annotated,
-        coverage=args.coverage,
-        max_trace_len=args.max_trace_len,
-        max_level=args.max_level,
-        prob_floor=args.prob_floor,
-    )
 
 
 def _write_json(path: str, payload) -> None:
@@ -187,9 +180,9 @@ def cmd_discover(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     measures = [m.strip() for m in args.measures.split(",") if m.strip()]
-    unknown = [m for m in measures if m not in ("lh", "remd", "temd")]
+    unknown = [m for m in measures if m not in EVALUATE_MEASURES]
     if unknown or not measures:
-        raise InputError(f"--measures {args.measures!r}: choose one or more of lh, remd, temd")
+        raise InputError(f"--measures {args.measures!r}: choose one or more of {', '.join(EVALUATE_MEASURES)}")
 
     wn, parsed = _load_workflow(_require(args, "net"), args)
     if parsed.unweighted:
@@ -199,7 +192,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     rg = build_rg(wn, state_cap=args.state_cap)
     weights = [parsed.weights[t] for t in wn.net.transitions]
     annotated = annotate(rg, weights)
-    probs = trace_probabilities(annotated, target.probs) if {"lh", "remd"} & set(measures) else None
+    probs = trace_probabilities(annotated, target.probs) if set(MEASURES) & set(measures) else None
 
     reports: list[DistanceReport] = []
     for m in measures:
@@ -208,7 +201,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         elif m == "remd":
             reports.append(restricted_emd(target, probs))
         else:
-            report = truncated_emd(target, _unfold(annotated, args))
+            report = truncated_emd(target, unfold_language(annotated, args.coverage, args.max_trace_len))
             if report.coverage_used < args.coverage:
                 print(
                     f"warning: tEMD budgets bound at coverage {report.coverage_used} "
@@ -233,7 +226,7 @@ def cmd_unfold(args: argparse.Namespace) -> int:
         probs = trace_probabilities(annotated, log.support())
         _print_json({"traces": _trace_entries(probs, "prob")})
     elif args.coverage is not None:
-        lang = _unfold(annotated, args)
+        lang = unfold_language(annotated, args.coverage, args.max_trace_len)
         _print_json({"traces": _trace_entries(lang.probs, "prob"), "residual": lang.residual})
     else:
         raise InputError("unfold needs --log (restrict to its traces) or --coverage")
@@ -253,7 +246,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
         if dst_kind == "xes":
             Path(args.output).write_bytes(write_xes(log))
         else:
-            Path(args.output).write_text(write_csv(log), encoding="utf-8")
+            Path(args.output).write_text(write_csv(log, args.case_col, args.activity_col), encoding="utf-8")
     else:
         raise InputError(f"unsupported conversion {src_kind or '?'} -> {dst_kind or '?'}")
     return 0
@@ -292,10 +285,6 @@ def _add_unfold_options(p: argparse.ArgumentParser, coverage: float | None) -> N
     """The budgets of the free language's unfolding (tEMD; unfold without --log)."""
     p.add_argument("--coverage", type=float, default=coverage, help="probability mass to unfold (default: %(default)s)")
     p.add_argument("--max-trace-len", type=int, help="unfolding trace length budget")
-    p.add_argument("--max-level", type=int, help="unfolding level budget")
-    p.add_argument(
-        "--prob-floor", type=float, default=DEFAULT_PROB_FLOOR, help="per-key probability floor (default: %(default)s)"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_subcommand(sub, "discover", cmd_discover, "optimize transition weights against an event log")
     _add_net_and_log_options(p)
-    p.add_argument("--measure", choices=("lh", "remd"), default="lh", help="objective (default: %(default)s)")
+    p.add_argument("--measure", choices=MEASURES, default="lh", help="objective (default: %(default)s)")
     p.add_argument("--n0", type=int, default=OptimizerConfig.n0, help="number of random starts (default: %(default)s)")
     p.add_argument("--max-iter", type=int, default=OptimizerConfig.max_iter, help="iteration cap (default: %(default)s)")
     p.add_argument(
@@ -322,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_subcommand(sub, "evaluate", cmd_evaluate, "measure divergences of a weighted net against a log")
     _add_net_and_log_options(p)
     _add_unfold_options(p, 0.8)
-    p.add_argument("--measures", default="lh,remd,temd", help="comma list from lh,remd,temd (default: %(default)s)")
+    measures = ",".join(EVALUATE_MEASURES)
+    p.add_argument("--measures", default=measures, help=f"comma list from {measures} (default: %(default)s)")
 
     p = _add_subcommand(sub, "unfold", cmd_unfold, "dump trace probabilities or the truncated language")
     _add_net_and_log_options(p)

@@ -4,7 +4,8 @@
   under the target distribution (natural log).  Minimizing it is maximum
   likelihood estimation; its floor is the target's empirical entropy.  Model
   probabilities are clamped at ``P_CLAMP`` before the log so a missed trace
-  yields a large finite penalty instead of an infinite one.
+  yields a large finite penalty instead of an infinite one; a model with
+  (almost) no mass on the whole support has no value, as for rEMD.
 * ``emd``: earth mover's distance as an exact transportation linear program,
   solved with HiGHS's dual simplex; with normalized Levenshtein costs the
   value lies in [0, 1] and is interpretable as "how much probability must
@@ -230,13 +231,26 @@ class DistanceReport:
         return asdict(self)
 
 
-def log_likelihood_divergence(target: StochasticLanguage, model_probs: dict[Trace, float]) -> float:
-    """Negative expected log model probability under the target (natural log)."""
+def _on_support(target: StochasticLanguage, model_probs: dict[Trace, float]) -> tuple[dict[Trace, float], float]:
+    """The model's probability of each trace of the target's support, and their
+    sum.  Raises :class:`ZeroModelMass` when that sum is below ``MASS_FLOOR``."""
     if not target.is_complete:
         raise ValueError("target language must be complete")
+    restricted = {t: model_probs.get(t, 0.0) for t in target.probs}
+    mass = sum(restricted.values())
+    if mass < MASS_FLOOR:
+        raise ZeroModelMass(f"model mass on the log support is {mass}")
+    return restricted, mass
+
+
+def log_likelihood_divergence(target: StochasticLanguage, model_probs: dict[Trace, float]) -> float:
+    """Negative expected log model probability under the target (natural log).
+    Raises :class:`ZeroModelMass` when the model puts essentially no
+    probability on any observed trace."""
+    restricted, _ = _on_support(target, model_probs)
     total = 0.0
     for trace, p_target in target.probs.items():
-        total -= p_target * np.log(max(model_probs.get(trace, 0.0), P_CLAMP))
+        total -= p_target * np.log(max(restricted[trace], P_CLAMP))
     return float(total)
 
 
@@ -258,13 +272,8 @@ def restricted_emd(
     :class:`ZeroModelMass` when the model puts essentially no probability on
     any observed trace.
     """
-    if not target.is_complete:
-        raise ValueError("target language must be complete")
-    support = tuple(target.probs)
-    restricted = {t: model_probs.get(t, 0.0) for t in support}
-    mass = sum(restricted.values())
-    if mass < MASS_FLOOR:
-        raise ZeroModelMass(f"model mass on the log support is {mass}")
+    restricted, mass = _on_support(target, model_probs)
+    support = tuple(restricted)
     model_lang = StochasticLanguage({t: v / mass for t, v in restricted.items()}, 0.0)
     if cost is None:
         cost = levenshtein_cost_matrix(support, support)

@@ -23,13 +23,14 @@ The measure picks the local method (:data:`METHODS`), one call to
   gradient over log-weights: the trace probabilities' LU factor gives
   ∂lh/∂p for every arc by one transposed (adjoint) solve, chained through
   the per-state normalization of the weights, so a value and its gradient
-  cost one factorization.  The likelihood clamps at ``P_CLAMP`` (a clamped
-  trace contributes no gradient); it scores ``INVALID_OBJECTIVE``, with a
-  zero gradient, only where the trace probabilities are beyond float
-  precision (near the weight bounds) or the gradient is not finite.  Such a
-  point is never an iterate: the start is valid and L-BFGS-B accepts only
-  points that lower the value, so it can only be a line-search trial, which
-  the line search rejects and shortens.
+  cost one factorization.  The likelihood clamps each trace at ``P_CLAMP``
+  (a clamped trace contributes no gradient); it scores ``INVALID_OBJECTIVE``,
+  with a zero gradient, only where the model's mass on the whole log is
+  below ``MASS_FLOOR`` (as rEMD does), the trace probabilities are beyond
+  float precision (near the weight bounds) or the gradient is not finite.
+  Such a point is never an iterate: the start is valid and L-BFGS-B accepts
+  only points that lower the value, so it can only be a line-search trial,
+  which the line search rejects and shortens.
 * ``remd``: ``Powell`` (Powell 1964), derivative-free conjugate directions,
   for the kinked EMD surface, where a subgradient method stalls at the kinks.
 

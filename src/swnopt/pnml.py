@@ -12,8 +12,9 @@ a tool-specific block inside each ``<transition>``::
 where the weight text is a base-10 float with up to 17 significant digits,
 finite and positive.
 A transition whose name is empty, absent, or the literal "tau"/"τ" is
-silent.  Unknown elements are ignored with a :class:`PnmlWarning` (real-world
-PNML carries tool noise); ``graphics`` and other ``inscription`` blocks are
+silent, so :func:`write_pnml` refuses a visible label spelled that way.
+Unknown elements are ignored with a :class:`PnmlWarning` (real-world PNML
+carries tool noise); ``graphics`` and other ``inscription`` blocks are
 skipped silently.
 """
 
@@ -216,7 +217,8 @@ def parse_pnml(data: bytes | str) -> ParsedPnml:
 
 
 def write_pnml(swn: StochasticWorkflowNet) -> bytes:
-    """Serialize a stochastic workflow net; ``parse_pnml`` round-trips it."""
+    """Serialize a stochastic workflow net; ``parse_pnml`` round-trips it, so a
+    visible label the reader takes for silent raises ``ValueError``."""
     net = swn.wn.net
     root = ET.Element("pnml")
     net_elem = ET.SubElement(root, "net", {"id": "net1", "type": "http://www.pnml.org/version-2009/grammar/ptnet"})
@@ -235,6 +237,8 @@ def write_pnml(swn: StochasticWorkflowNet) -> bytes:
         trans = ET.SubElement(page, "transition", {"id": tid})
         name = ET.SubElement(ET.SubElement(trans, "name"), "text")
         label = net.labeling[tid]
+        if label in _SILENT_NAMES:
+            raise ValueError(f"transition {tid!r}: visible label {label!r} would read back as silent")
         name.text = "tau" if label is SILENT else label
         tool = ET.SubElement(trans, "toolspecific", {"tool": WEIGHT_TOOL, "version": WEIGHT_TOOL_VERSION})
         weight = ET.SubElement(tool, "weight")

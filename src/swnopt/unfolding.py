@@ -12,10 +12,11 @@
 * :func:`unfold_language` enumerates the free language level by level (one
   level = one arc traversal; queue keys are (state, trie node) pairs in
   per-level buckets) until the completed mass reaches a coverage threshold.
-  The language may be infinite, so a level budget, a per-key probability
-  floor, a trace length budget and :data:`MAX_PREFIXES` bound the work; the
-  mass not collected is left in ``residual``.  :data:`MAX_PREFIXES` bounds
-  only this free unfolding.
+  A caller sets two budgets, the coverage and an optional trace length.  The
+  language may be infinite, so the code also bounds the work itself: a level
+  budget derived from the graph, the per-key floor :data:`PROB_FLOOR` and
+  :data:`MAX_PREFIXES`.  The mass not collected is left in ``residual``.
+  :data:`PROB_FLOOR` and :data:`MAX_PREFIXES` bound only this free unfolding.
 """
 
 import math
@@ -29,7 +30,8 @@ from .errors import ComputationError
 from .logs import StochasticLanguage, Trace
 from .semantics import AnnotatedRG, ReachabilityGraph
 
-DEFAULT_PROB_FLOOR = 1e-12
+#: Free unfolding: a key whose probability falls below this is dropped, its mass left in the residual.
+PROB_FLOOR = 1e-12
 
 #: Most nodes the free unfolding's trie may hold; past it `_Trie.add` raises PrefixCapExceeded.
 MAX_PREFIXES = 1 << 20
@@ -227,32 +229,23 @@ def trace_probabilities(arg: AnnotatedRG, traces: Iterable[Trace]) -> dict[Trace
     return PrefixProduct(arg.rg, traces).probabilities(arg)
 
 
-def unfold_language(
-    arg: AnnotatedRG,
-    coverage: float = 1.0,
-    max_trace_len: int | None = None,
-    max_level: int | None = None,
-    prob_floor: float = DEFAULT_PROB_FLOOR,
-) -> StochasticLanguage:
+def unfold_language(arg: AnnotatedRG, coverage: float = 1.0, max_trace_len: int | None = None) -> StochasticLanguage:
     """Unrestricted unfolding, stopped once completed mass reaches ``coverage``.
 
     The coverage check runs between levels, so each level is always fully
-    merged before its keys are expanded.  The result has
-    ``residual = 1 - sum(probs)``; a residual above ``1 - coverage`` means a
-    budget (trace length, level count, probability floor) bound first.  Past
-    :data:`MAX_PREFIXES` trie nodes it raises :class:`PrefixCapExceeded`.
+    merged before its keys are expanded.  Besides the caller's trace length
+    budget, the unfolding stops after ``(1 + (max_trace_len or n_states)) *
+    n_states`` levels and drops a key below :data:`PROB_FLOOR`.  The result
+    has ``residual = 1 - sum(probs)``; a residual above ``1 - coverage`` means
+    one of these bounds cut first.  Past :data:`MAX_PREFIXES` trie nodes it
+    raises :class:`PrefixCapExceeded`.
     """
     if not (0.0 < coverage <= 1.0):
         raise ValueError("coverage must be in (0, 1]")
     if max_trace_len is not None and max_trace_len < 1:
         raise ValueError("max_trace_len must be >= 1")
     rg = arg.rg
-    if max_level is None:
-        max_level = (1 + (max_trace_len or rg.n_states)) * rg.n_states
-    if max_level <= 0:
-        raise ValueError("max_level must be >= 1")
-    if not (prob_floor >= 0.0):
-        raise ValueError(f"prob_floor must be a number >= 0, got {prob_floor}")
+    max_level = (1 + (max_trace_len or rg.n_states)) * rg.n_states
 
     # a path the length budget stops leaves its mass in the residual
     trie = _Trie(max_trace_len if max_trace_len is not None else math.inf)
@@ -277,15 +270,13 @@ def unfold_language(
                 if dst == sink:
                     collected[new_node] = collected.get(new_node, 0.0) + new_pr
                     collected_mass += new_pr
-                elif level + 1 <= max_level:
+                elif level < max_level:
                     key = (dst, new_node)
                     if key in nxt:
                         nxt[key] += new_pr
                     else:
                         nxt[key] = new_pr
-        if prob_floor > 0.0:
-            nxt = {key: pr for key, pr in nxt.items() if pr >= prob_floor}
-        current = nxt
+        current = {key: pr for key, pr in nxt.items() if pr >= PROB_FLOOR}
         level += 1
 
     probs = {trie.trace_of(node): pr for node, pr in collected.items()}

@@ -153,7 +153,7 @@ def test_criterion_5b_monte_carlo_agreement():
     for seed in range(20):
         swn = random_swn(random.Random(7000 + seed), max_transitions=12, allow_loops=True, min_activities=2)
         arg = _annotated(swn)
-        lang = unfold_language(arg, coverage=0.7, max_level=300)
+        lang = unfold_language(arg, coverage=0.7)
         targets = [t for t, _ in sorted(lang.probs.items(), key=lambda kv: -kv[1])[:4]]
         result = trace_probabilities(arg, targets)
         counts = simulate_target_frequencies(swn, targets, n_runs=n, seed=910_000 + seed)

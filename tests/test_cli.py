@@ -11,7 +11,6 @@ from swnopt.logs import EventLog, parse_csv, parse_xes, write_csv, write_xes
 from swnopt.optimize import OptimizerConfig
 from swnopt.pnml import parse_pnml, write_pnml
 from swnopt.semantics import DEFAULT_STATE_CAP
-from swnopt.unfolding import DEFAULT_PROB_FLOOR
 
 from .fixtures import (
     parallel_choice_log,
@@ -133,6 +132,22 @@ def test_discover_unproducible_log_exits_3(workdir):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["discover", "evaluate"])
+def test_lh_on_a_log_the_net_cannot_produce_exits_3(workdir, capsys, command):
+    # every activity is in the net, but no trace of the log is in its language
+    log = workdir / "unproducible.csv"
+    log.write_text(write_csv(EventLog({("a", "c", "d"): 3, ("b",): 2})), encoding="utf-8")
+    if command == "discover":
+        args = _discover_args(workdir, measure="lh", n0="3", seed="1")
+        args[4] = str(log)
+    else:
+        args = ["evaluate", "--net", str(workdir / "net.pnml"), "--log", str(log), "--measures", "lh"]
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "model mass" in captured.err
+    assert not (workdir / "report.json").exists()
+
+
 def test_discover_config_file_flags_win(workdir, capsys):
     cfg = workdir / "run.cfg"
     cfg.write_text(
@@ -205,8 +220,6 @@ def test_parser_defaults_come_from_the_library():
     )
     for command in ("discover", "evaluate", "unfold"):
         assert parser.parse_args([command]).state_cap == DEFAULT_STATE_CAP
-    for command in ("evaluate", "unfold"):
-        assert parser.parse_args([command]).prob_floor == DEFAULT_PROB_FLOOR
 
 
 @pytest.mark.parametrize("value,listed", [("false", False), ("yes", True)])
@@ -320,7 +333,7 @@ def test_evaluate_partial_coverage_flagged_not_fatal(tmp_path, capsys):
     log.write_text("case,activity\nc1,a\n")
     code = main([
         "evaluate", "--net", str(net), "--log", str(log),
-        "--measures", "temd", "--coverage", "0.8", "--max-level", "4",
+        "--measures", "temd", "--coverage", "0.8",
     ])
     assert code == 0
     captured = capsys.readouterr()
@@ -424,10 +437,14 @@ def test_unfold_empty_log_exits_2(workdir, capsys):
     capsys.readouterr()
 
 
-def test_unfold_prob_floor_nan_exits_2(workdir, capsys):
-    args = ["unfold", "--net", str(workdir / "net.pnml"), "--coverage", "0.9", "--prob-floor", "nan"]
-    assert main(args) == 2
-    assert "prob_floor must be a number >= 0, got nan" in capsys.readouterr().err
+@pytest.mark.parametrize("command", ["evaluate", "unfold"])
+@pytest.mark.parametrize("flag,value", [("--max-level", "4"), ("--prob-floor", "nan")])
+def test_free_unfolding_rejects_removed_flags(workdir, capsys, command, flag, value):
+    args = [command, "--net", str(workdir / "net.pnml"), "--log", str(workdir / "log.csv"), "--coverage", "0.9"]
+    with pytest.raises(SystemExit) as exc:
+        main(args + [flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_unfold_needs_log_or_coverage(workdir, capsys):
@@ -443,6 +460,16 @@ def test_convert_csv_xes_roundtrip(workdir, tmp_path):
     original = parse_csv((workdir / "log.csv").read_text(), "case", "activity")
     assert parse_xes(xes.read_bytes()).entries == original.entries
     assert parse_csv(back.read_text(), "case", "activity").entries == original.entries
+
+
+def test_convert_to_csv_writes_the_given_column_names(tmp_path):
+    xes, out, back = tmp_path / "log.xes", tmp_path / "out.csv", tmp_path / "back.xes"
+    xes.write_bytes(write_xes(parallel_choice_log()))
+    columns = ["--case-col", "id", "--activity-col", "act"]
+    assert main(["convert", "--in", str(xes), "--out", str(out)] + columns) == 0
+    assert out.read_text(encoding="utf-8").splitlines()[0] == "id,act"
+    assert main(["convert", "--in", str(out), "--out", str(back)] + columns) == 0
+    assert parse_xes(back.read_bytes()).entries == parallel_choice_log().entries
 
 
 def test_convert_log_with_empty_cases_to_csv_exits_2(tmp_path, capsys):

@@ -435,7 +435,7 @@ def test_temd_partial_coverage_is_flagged_not_fatal():
         {"t_in": 1.0, "t_go": 9.0, "t_back": 1.0, "emit": 1.0, "t_out": 1.0},
     )
     target = StochasticLanguage({("a",): 1.0})
-    report = truncated_emd(target, unfold_language(_annotated(swn), coverage=0.8, max_level=4))
+    report = truncated_emd(target, unfold_language(_annotated(swn), coverage=0.8))
     assert report.coverage_used < 0.8
     assert 0.0 <= report.value <= 1.0
 

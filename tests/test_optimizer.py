@@ -146,9 +146,12 @@ def test_zero_model_mass_scored_as_large_value():
     from swnopt.optimize import _score
 
     assert _score(spec, np.ones(1)) == INVALID_OBJECTIVE
-    # lh clamps instead, so a zero-mass point keeps a finite value
-    lh = _score(ObjectiveSpec.for_net("lh", single_transition_wn(), target), np.ones(1))
-    assert lh == -math.log(P_CLAMP)
+    # lh follows the same zero-mass rule
+    assert _score(ObjectiveSpec.for_net("lh", single_transition_wn(), target), np.ones(1)) == INVALID_OBJECTIVE
+    # a log the net partly produces keeps a finite lh: the missed trace is clamped
+    partial = StochasticLanguage({("a",): 0.5, ("b",): 0.5})
+    lh = _score(ObjectiveSpec.for_net("lh", single_transition_wn(), partial), np.ones(1))
+    assert lh == pytest.approx(-0.5 * math.log(P_CLAMP))
     assert lh < INVALID_OBJECTIVE
 
 

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from swnopt.nets import SILENT, NotAWorkflowNet, StochasticWorkflowNet, validate_workflow
+from swnopt.nets import SILENT, LabeledPetriNet, NotAWorkflowNet, StochasticWorkflowNet, validate_workflow
 from swnopt.pnml import (
     DanglingArc,
     DuplicateId,
@@ -52,6 +52,21 @@ def test_transition_without_name_is_silent():
     doc = MINIMAL.format(name="x").replace("<name><text>x</text></name>", "")
     parsed = parse_pnml(doc)
     assert parsed.net.labeling["t"] is SILENT
+
+
+@pytest.mark.parametrize("label", ["tau", "τ", ""])
+def test_writer_refuses_a_visible_label_that_reads_back_as_silent(label):
+    net = LabeledPetriNet(
+        places=("start", "end"),
+        transitions=("t",),
+        flow={("start", "t"): 1, ("t", "end"): 1},
+        labeling={"t": label},
+        initial_marking={"start": 1},
+    )
+    wn = validate_workflow(net, "start", "end")
+    assert wn.net.alphabet == (label,)
+    with pytest.raises(ValueError, match=f"transition 't': visible label {label!r}"):
+        write_pnml(StochasticWorkflowNet(wn, {"t": 1.0}))
 
 
 def test_dangling_arc_rejected():

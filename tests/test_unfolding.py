@@ -172,22 +172,18 @@ def test_unfold_language_prefix_cap(monkeypatch):
 
 
 def test_unfold_language_level_cutoff_moves_mass_to_residual():
-    cut = unfold_language(_annotated(_livelock(9.0)), coverage=1.0, max_level=4)
+    # the derived level budget cuts the silent livelock's slow escape
+    cut = unfold_language(_annotated(_livelock(9.0)), coverage=1.0)
     assert cut.residual > 0.1
     assert cut.probs[("a",)] < 1.0
     assert sum(cut.probs.values()) + cut.residual == pytest.approx(1.0, abs=1e-12)
 
 
-def test_unfold_language_prob_floor_moves_mass_to_residual():
-    lang = unfold_language(_annotated(parallel_choice_swn()), coverage=1.0, prob_floor=0.5)
+def test_unfold_language_prob_floor_moves_mass_to_residual(monkeypatch):
+    monkeypatch.setattr(unfolding, "PROB_FLOOR", 0.5)
+    lang = unfold_language(_annotated(parallel_choice_swn()), coverage=1.0)
     assert lang.probs == {}
     assert lang.residual == pytest.approx(1.0)
-
-
-@pytest.mark.parametrize("floor", [float("nan"), -1.0])
-def test_unfold_language_refuses_a_floor_that_is_not_a_number_at_least_0(floor):
-    with pytest.raises(ValueError, match=f"prob_floor must be a number >= 0, got {floor}"):
-        unfold_language(_annotated(parallel_choice_swn()), coverage=0.9, prob_floor=floor)
 
 
 def test_unfold_language_complete_reference():
