@@ -246,7 +246,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
         if dst_kind == "xes":
             Path(args.output).write_bytes(write_xes(log))
         else:
-            Path(args.output).write_text(write_csv(log, args.case_col, args.activity_col), encoding="utf-8")
+            Path(args.output).write_text(write_csv(log, args.case_col, args.activity_col, args.time_col), encoding="utf-8")
     else:
         raise InputError(f"unsupported conversion {src_kind or '?'} -> {dst_kind or '?'}")
     return 0

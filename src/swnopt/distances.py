@@ -18,12 +18,16 @@
   without presolve: presolve wrongly declares a transportation system
   infeasible when a marginal entry lies below its feasibility tolerance
   (~1e-7), and these LPs solve no slower without it.
+* ``levenshtein_cost_matrix``: normalized edit distances between two trace
+  sets, computed for all pairs by one vectorized integer DP (in column
+  blocks of bounded size); ``levenshtein`` is the per-pair reference.
 * ``restricted_emd``: EMD after restricting the model language to the
   target's support and renormalizing; cheap enough to drive optimization.
 * ``truncated_emd``: EMD against the model language ``unfold_language``
   truncated at a coverage threshold; used for evaluation, not optimization.
 """
 
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -149,12 +153,75 @@ def _transport_model(cost: np.ndarray) -> highs._Highs:
     return model
 
 
+#: Upper bound on the DP entries one column block of :func:`_edit_distances`
+#: holds per buffer; a block is never narrower than one column.
+_DP_CELLS = 1 << 20
+
+
+def _edit_distances(rows: Sequence[Trace], cols: Sequence[Trace]) -> np.ndarray:
+    """Levenshtein distance of every (row, column) pair, as an int32 n x m array.
+
+    Symbols become integer ids, and each trace a row of a padded id array.  One
+    DP runs for all pairs at once: entry (i, j) of the table is an n x w
+    array holding, for every pair of the block, the distance between the
+    row's first i and the column's first j symbols.  A pair's distance is
+    read at (its row's length, its column's length), so the padding never
+    takes part.  Columns are processed in blocks of w, chosen so that one
+    table row holds at most ``_DP_CELLS`` entries.
+    """
+    ids: dict = {}
+
+    def encode(traces):
+        lengths = np.array([len(t) for t in traces], dtype=np.intp)
+        codes = np.full((len(traces), int(lengths.max(initial=0))), -1, dtype=np.int32)
+        for k, trace in enumerate(traces):
+            codes[k, : len(trace)] = [ids.setdefault(a, len(ids)) for a in trace]
+        return codes, lengths
+
+    row_codes, row_lens = encode(rows)
+    col_codes, col_lens = encode(cols)
+    n, m = len(rows), len(cols)
+    out = np.empty((n, m), dtype=np.int32)
+    rows_of_len = [np.flatnonzero(row_lens == i) for i in range(row_codes.shape[1] + 1)]
+    width = max(1, _DP_CELLS // max(1, n * (col_codes.shape[1] + 1)))
+    for start in range(0, m, width):
+        block = slice(start, min(start + width, m))
+        lens = col_lens[block]
+        depth = int(lens.max())
+        codes = col_codes[block, :depth]
+        pairs = np.arange(len(lens))
+        # prev[j] / cur[j]: the table entry (i - 1, j) / (i, j) for every pair
+        prev = np.empty((depth + 1, n, len(lens)), dtype=np.int32)
+        prev[:] = np.arange(depth + 1, dtype=np.int32)[:, None, None]
+        cur = np.empty_like(prev)
+        out[rows_of_len[0], block] = lens
+        for i, done in enumerate(rows_of_len[1:], start=1):
+            symbol = row_codes[:, i - 1, None]
+            cur[0] = i
+            for j in range(1, depth + 1):
+                np.minimum(prev[j], cur[j - 1], out=cur[j])
+                cur[j] += 1
+                np.minimum(cur[j], prev[j - 1] + (symbol != codes[:, j - 1]), out=cur[j])
+            if len(done):
+                out[done, block] = cur[lens, done[:, None], pairs]
+            prev, cur = cur, prev
+    return out
+
+
 def levenshtein_cost_matrix(rows: tuple[Trace, ...], cols: tuple[Trace, ...]) -> CostMatrix:
-    cost = np.empty((len(rows), len(cols)))
-    for i, r in enumerate(rows):
-        for j, c in enumerate(cols):
-            cost[i, j] = normalized_levenshtein(r, c)
-    return CostMatrix(rows=tuple(rows), cols=tuple(cols), cost=cost)
+    """Normalized Levenshtein costs between every row and every column trace.
+
+    ``cost[i, j]`` is ``normalized_levenshtein(rows[i], cols[j])``, bit for
+    bit: the integer edit distance divided by the longer trace's length, 0
+    for two empty traces.  All pairs share one vectorized integer DP
+    (:func:`_edit_distances`).  It processes the columns in blocks of at most
+    ``_DP_CELLS`` DP entries, so beyond the n x m result its memory does not
+    grow with the number of columns.
+    """
+    rows, cols = tuple(rows), tuple(cols)
+    longest = np.maximum.outer([len(t) for t in rows], [len(t) for t in cols])
+    cost = _edit_distances(rows, cols) / np.maximum(longest, 1)
+    return CostMatrix(rows=rows, cols=cols, cost=cost)
 
 
 @dataclass(frozen=True)

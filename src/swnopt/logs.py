@@ -11,7 +11,7 @@ import csv
 import io
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 
 from .errors import InputError
 
@@ -156,8 +156,6 @@ def _parse_timestamp(raw: str) -> datetime:
         raise UnparseableTimestamp(f"not an ISO-8601 timestamp: {raw!r}") from exc
     if ts.tzinfo is None:
         # mixing aware and naive timestamps must not crash the sort
-        from datetime import timezone
-
         ts = ts.replace(tzinfo=timezone.utc)
     return ts
 
@@ -194,21 +192,30 @@ def parse_csv(data: bytes | str, case_col: str, activity_col: str, time_col: str
     return EventLog(entries)
 
 
-def write_csv(log: EventLog, case_col: str = "case", activity_col: str = "activity") -> str:
+def write_csv(log: EventLog, case_col: str = "case", activity_col: str = "activity", time_col: str | None = None) -> str:
     """Expand an event log back into rows, one synthetic case per trace copy.
-    An empty case would have no row, so a log with one raises :class:`InputError`."""
+
+    With ``time_col`` each row also gets an ISO-8601 timestamp, one second
+    after the previous row's, so :func:`parse_csv` with the same columns
+    reads the same log back.  An empty case would have no row, so a log with
+    one raises :class:`InputError`."""
     empty = log.entries.get((), 0)
     if empty:
         raise InputError(f"CSV has one row per event and cannot hold the log's {empty} empty case(s)")
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([case_col, activity_col])
-    case_no = 0
+    writer.writerow([case_col, activity_col] + ([time_col] if time_col else []))
+    start = datetime(2000, 1, 1, tzinfo=timezone.utc)
+    case_no = event_no = 0
     for trace, freq in log.entries.items():
         for _ in range(freq):
             case_no += 1
             for activity in trace:
-                writer.writerow([f"c{case_no}", activity])
+                row = [f"c{case_no}", activity]
+                if time_col:
+                    row.append((start + timedelta(seconds=event_no)).isoformat())
+                writer.writerow(row)
+                event_no += 1
     return out.getvalue()
 
 

@@ -472,6 +472,16 @@ def test_convert_to_csv_writes_the_given_column_names(tmp_path):
     assert parse_xes(back.read_bytes()).entries == parallel_choice_log().entries
 
 
+def test_convert_csv_to_csv_keeps_the_time_column(tmp_path):
+    source, out, back = tmp_path / "in.csv", tmp_path / "out.csv", tmp_path / "back.xes"
+    source.write_text("id,act,when\nc1,B,2021-01-01T00:02:00\nc1,A,2021-01-01T00:01:00\nc2,A,2021-01-01T00:00:00\n")
+    columns = ["--case-col", "id", "--activity-col", "act", "--time-col", "when"]
+    assert main(["convert", "--in", str(source), "--out", str(out)] + columns) == 0
+    assert out.read_text(encoding="utf-8").splitlines()[0] == "id,act,when"
+    assert main(["convert", "--in", str(out), "--out", str(back)] + columns) == 0
+    assert parse_xes(back.read_bytes()) == parse_csv(source.read_text(), "id", "act", "when")
+
+
 def test_convert_log_with_empty_cases_to_csv_exits_2(tmp_path, capsys):
     xes = tmp_path / "log.xes"
     xes.write_bytes(write_xes(EventLog({(): 2, ("a",): 1})))

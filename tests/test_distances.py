@@ -31,7 +31,7 @@ from .fixtures import (
     parallel_choice_wn,
     silent_livelock_wn,
 )
-from .oracles import levenshtein_recursive, mincost_transport_units, random_feasible_plan
+from .oracles import all_traces, levenshtein_matrix, levenshtein_recursive, mincost_transport_units, random_feasible_plan
 from .treegen import random_swn
 
 ENTROPY_FLOOR = -(2 * 0.15 * math.log(0.15) + 2 * 0.35 * math.log(0.35))  # 1.3040114826148388
@@ -129,6 +129,67 @@ def test_levenshtein_cost_matrix_is_normalized():
     cm = levenshtein_cost_matrix(rows, rows)
     assert np.all(cm.cost <= 1.0)
     assert np.all(np.diag(cm.cost) == 0.0)
+
+
+def test_edit_distances_match_layered_oracle_on_all_short_traces():
+    # the exhaustive trace set of acceptance criterion 5d; a CostMatrix this
+    # size would build a 10.7M-column LP, so the kernel is checked directly
+    traces = all_traces(("x", "y", "z"), 7)
+    assert np.array_equal(swnopt.distances._edit_distances(traces, traces), levenshtein_matrix(traces))
+
+
+@pytest.mark.parametrize(
+    "rows,cols",
+    [
+        ((("a", "b", "c"), ("a",), ("c", "b", "a", "a", "b")), (("b",), ("a", "c"), ("b", "b", "b", "b", "c", "a"))),
+        (((),), (("a",), (), ("a", "b", "c"))),
+        ((("a",), (), ("a", "b", "c")), ((),)),
+        ((("a", "b"), ("b", "a", "a")), (("x",), ("y", "x", "y", "x"), ("z", "z"))),
+    ],
+    ids=["different-lengths", "empty-row", "empty-col", "disjoint-alphabets"],
+)
+def test_edit_distances_match_recursive_oracle(rows, cols):
+    expected = [[levenshtein_recursive(r, c) for c in cols] for r in rows]
+    assert swnopt.distances._edit_distances(rows, cols).tolist() == expected
+
+
+@pytest.mark.parametrize("rows,cols", [((), ()), ((), (("a",), ())), ((("a",), ()), ())])
+def test_levenshtein_cost_matrix_without_rows_or_cols_is_empty(rows, cols):
+    cm = levenshtein_cost_matrix(rows, cols)
+    assert cm.cost.shape == (len(rows), len(cols))
+    assert cm.cost.dtype == np.float64
+
+
+def _random_support(rng, size, alphabet):
+    traces = {}
+    while len(traces) < size:
+        traces[tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))] = None
+    return tuple(traces)
+
+
+def _per_cell_costs(rows, cols):
+    return np.array([[normalized_levenshtein(r, c) for c in cols] for r in rows]).reshape(len(rows), len(cols))
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (5, 3), (17, 40), (40, 40), (60, 1000)])
+def test_levenshtein_cost_matrix_is_bit_identical_to_per_cell_costs(n, m):
+    rng = random.Random(n * 1000 + m)
+    rows, cols = _random_support(rng, n, "abcdef"), _random_support(rng, m, "abcdef")
+    if n == m:
+        cols = rows  # the rEMD case: one support on both sides
+    assert levenshtein_cost_matrix(rows, cols).cost.tobytes() == _per_cell_costs(rows, cols).tobytes()
+
+
+# 20 rows against columns of up to 12 symbols take 20 * 13 DP entries per
+# column: budgets 1 and 7 give one-column blocks, 2003 gives blocks of 7
+# columns and a last block of 3
+@pytest.mark.parametrize("budget", [1, 7, 2003])
+def test_levenshtein_cost_matrix_does_not_depend_on_the_column_block(monkeypatch, budget):
+    rng = random.Random(3)
+    rows, cols = _random_support(rng, 20, "abcd"), _random_support(rng, 150, "abcd")
+    assert max(map(len, cols)) == 12
+    monkeypatch.setattr(swnopt.distances, "_DP_CELLS", budget)
+    assert levenshtein_cost_matrix(rows, cols).cost.tobytes() == _per_cell_costs(rows, cols).tobytes()
 
 
 # -- transportation problem ---------------------------------------------------

@@ -224,6 +224,18 @@ def test_csv_roundtrip_preserves_frequencies():
     assert parse_csv(write_csv(log), "case", "activity").entries == log.entries
 
 
+def test_csv_roundtrip_with_time_column_keeps_event_order():
+    log = EventLog({("b", "a", "b"): 2, ("a",): 1, ("c", "a"): 1})
+    header, *rows = write_csv(log, "case", "activity", "ts").splitlines()
+    assert header == "case,activity,ts"
+    stamps = [row.split(",")[2] for row in rows]
+    assert stamps == sorted(set(stamps))  # strictly increasing, one per event
+    # the timestamps alone carry the order: reversed rows read back the same log
+    for lines in (rows, rows[::-1]):
+        data = "\n".join([header] + lines) + "\n"
+        assert parse_csv(data, "case", "activity", "ts") == log
+
+
 def test_write_csv_refuses_empty_cases():
     # one row per event leaves an empty case no row, so it would be lost
     with pytest.raises(InputError, match="2 empty case"):
