@@ -24,11 +24,12 @@ from swnopt import (
 )
 
 # --- earth mover's distance on plain point masses ---------------------------
-# moving 1/4 of mass a distance of 2 and 1/4 a distance of 1 costs 3/4
+# moving 1/4 of mass a distance of 2 and 1/4 a distance of 1 costs 3/4;
+# the two marginals are arrays in the order of the cost matrix's rows and columns
 points = (("1",), ("2",), ("3",))
 cost = CostMatrix(points, points, np.abs(np.subtract.outer(np.arange(3), np.arange(3))).astype(float))
-p = StochasticLanguage({("1",): 0.25, ("2",): 0.25, ("3",): 0.5})
-q = StochasticLanguage({("1",): 0.5, ("2",): 0.5})
+p = np.array([0.25, 0.25, 0.5])
+q = np.array([0.5, 0.5, 0.0])
 plan = emd(p, q, cost)
 print("point-mass EMD:", plan.cost)
 print("transport plan:\n", plan.plan)
@@ -67,10 +68,11 @@ target = StochasticLanguage(
     }
 )
 
-# log-likelihood: only needs model probabilities on the log's support
-from swnopt import trace_probabilities
+# log-likelihood: only needs model probabilities on the log's support, one
+# array in the order of target.probs (the order the prefix product keeps)
+from swnopt.unfolding import PrefixProduct
 
-model = trace_probabilities(annotated, target.probs)
+model = PrefixProduct(annotated.rg, target.probs).probabilities(annotated)
 print("\nlog-likelihood divergence:", log_likelihood_divergence(target, model))
 
 # restricted EMD: renormalize the model on the log support, then transport

@@ -25,12 +25,12 @@ from .distances import (
     truncated_emd,
 )
 from .errors import ComputationError, InputError
-from .logs import EmptyLog, EventLog, log_language, parse_csv, parse_xes, write_csv, write_xes
+from .logs import EmptyLog, EventLog, StochasticLanguage, log_language, parse_csv, parse_xes, write_csv, write_xes
 from .nets import StochasticWorkflowNet, validate_workflow
 from .optimize import MEASURES, METHODS, ObjectiveSpec, OptimizerConfig, optimized_weights
 from .pnml import parse_pnml, write_pnml
 from .semantics import DEFAULT_STATE_CAP, annotate, build_rg
-from .unfolding import trace_probabilities, unfold_language
+from .unfolding import PrefixProduct, trace_probabilities, unfold_language
 
 REPORT_SCHEMA = "stochastic-weights/report/1"
 
@@ -115,6 +115,14 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2))
 
 
+def _load_target(args: argparse.Namespace, wn) -> StochasticLanguage:
+    log = _load_log(_require(args, "log"), args)
+    missing = set(log.alphabet) - set(wn.net.alphabet)
+    if missing:
+        print(f"warning: log activities absent from the net: {sorted(missing)}", file=sys.stderr)
+    return log_language(log)
+
+
 def _trace_entries(probs: dict, key: str) -> list[dict]:
     return [{"trace": list(t), key: p} for t, p in sorted(probs.items())]
 
@@ -124,13 +132,8 @@ def cmd_discover(args: argparse.Namespace) -> int:
 
     t0 = time.perf_counter()
     wn, _ = _load_workflow(_require(args, "net"), args)
-    log = _load_log(_require(args, "log"), args)
-    target = log_language(log)
+    target = _load_target(args, wn)
     timings["parse"] = time.perf_counter() - t0
-
-    missing = set(log.alphabet) - set(wn.net.alphabet)
-    if missing:
-        print(f"warning: log activities absent from the net: {sorted(missing)}", file=sys.stderr)
 
     t0 = time.perf_counter()
     rg = build_rg(wn, state_cap=args.state_cap)
@@ -187,12 +190,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     wn, parsed = _load_workflow(_require(args, "net"), args)
     if parsed.unweighted:
         print("warning: net carries no weights; using 1.0 everywhere", file=sys.stderr)
-    log = _load_log(_require(args, "log"), args)
-    target = log_language(log)
+    target = _load_target(args, wn)
     rg = build_rg(wn, state_cap=args.state_cap)
-    weights = [parsed.weights[t] for t in wn.net.transitions]
-    annotated = annotate(rg, weights)
-    probs = trace_probabilities(annotated, target.probs) if set(MEASURES) & set(measures) else None
+    annotated = annotate(rg, [parsed.weights[t] for t in wn.net.transitions])
+    probs = PrefixProduct(rg, target.probs).probabilities(annotated) if set(MEASURES) & set(measures) else None
 
     reports: list[DistanceReport] = []
     for m in measures:

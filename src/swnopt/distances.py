@@ -1,5 +1,9 @@
 """Divergences between stochastic languages.
 
+Model probabilities are arrays in ``target.probs`` order and :func:`emd`'s
+marginals arrays in cost-matrix order; only :func:`language_emd` and
+:func:`truncated_emd` take trace-keyed :class:`StochasticLanguage` values.
+
 * ``log_likelihood_divergence``: negative expected log model probability
   under the target distribution (natural log).  Minimizing it is maximum
   likelihood estimation; its floor is the target's empirical entropy.  Model
@@ -103,9 +107,6 @@ class CostMatrix:
     #: transportation LP over the flattened plan: these costs, the (n+m) x nm
     #: marginal constraints (row sums, then column sums) and plan >= 0
     _lp: highs._Highs = field(init=False, repr=False, compare=False)
-    #: trace -> index in rows / cols, read by :func:`emd` to place the marginals
-    _row_idx: dict[Trace, int] = field(init=False, repr=False, compare=False)
-    _col_idx: dict[Trace, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cost = np.array(self.cost, dtype=np.float64)
@@ -127,8 +128,6 @@ class CostMatrix:
         cost.flags.writeable = False
         object.__setattr__(self, "cost", cost)
         object.__setattr__(self, "_lp", _transport_model(cost))
-        object.__setattr__(self, "_row_idx", {t: i for i, t in enumerate(self.rows)})
-        object.__setattr__(self, "_col_idx", {t: j for j, t in enumerate(self.cols)})
 
 
 def _transport_model(cost: np.ndarray) -> highs._Highs:
@@ -232,8 +231,9 @@ class TransportPlan:
     cost: float
 
 
-def emd(p: StochasticLanguage, q: StochasticLanguage, cost: CostMatrix) -> TransportPlan:
-    """Exact earth mover's distance between two complete stochastic languages.
+def emd(p, q, cost: CostMatrix) -> TransportPlan:
+    """Exact earth mover's distance between ``p`` over ``cost.rows`` and ``q``
+    over ``cost.cols``, float sequences in those orders, each of mass one.
 
     Solves the transportation linear program: minimize the total moving cost
     over all couplings whose row sums reproduce ``p`` and column sums ``q``.
@@ -244,24 +244,14 @@ def emd(p: StochasticLanguage, q: StochasticLanguage, cost: CostMatrix) -> Trans
     presolve rejects feasible systems whose marginals hold entries below its
     ~1e-7 tolerance.
     """
-    if abs(p.mass() - 1.0) > _MARGINAL_TOL or abs(q.mass() - 1.0) > _MARGINAL_TOL:
-        raise InfeasibleMarginals(
-            f"languages must be complete: masses {p.mass()}, {q.mass()}"
-        )
-    row_idx, col_idx = cost._row_idx, cost._col_idx
-    missing = [t for t in p.probs if t not in row_idx] + [t for t in q.probs if t not in col_idx]
-    if missing:
-        raise ValueError(f"cost matrix does not cover {missing[:3]}")
-
+    p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
     n, m = len(cost.rows), len(cost.cols)
-    marginals = np.zeros(n + m)
-    for t, prob in p.probs.items():
-        marginals[row_idx[t]] = prob
-    for t, prob in q.probs.items():
-        marginals[n + col_idx[t]] = prob
-
+    if p.shape != (n,) or q.shape != (m,):
+        raise ValueError(f"cost matrix does not cover marginals of shapes {p.shape}, {q.shape}: it is {n}x{m}")
+    if abs(p.sum() - 1.0) > _MARGINAL_TOL or abs(q.sum() - 1.0) > _MARGINAL_TOL:
+        raise InfeasibleMarginals(f"marginals must have mass one: masses {p.sum()}, {q.sum()}")
     lp = cost._lp
-    for row, value in enumerate(marginals.tolist()):
+    for row, value in enumerate(p.tolist() + q.tolist()):
         lp.changeRowBounds(row, value, value)
     lp.clearSolver()
     lp.run()
@@ -274,9 +264,8 @@ def emd(p: StochasticLanguage, q: StochasticLanguage, cost: CostMatrix) -> Trans
 
 def language_emd(p: StochasticLanguage, q: StochasticLanguage) -> TransportPlan:
     """EMD with normalized-Levenshtein costs over the two supports."""
-    rows = tuple(p.probs)
-    cols = tuple(q.probs)
-    return emd(p, q, levenshtein_cost_matrix(rows, cols))
+    cost = levenshtein_cost_matrix(tuple(p.probs), tuple(q.probs))
+    return emd(list(p.probs.values()), list(q.probs.values()), cost)
 
 
 @dataclass(frozen=True)
@@ -298,53 +287,53 @@ class DistanceReport:
         return asdict(self)
 
 
-def _on_support(target: StochasticLanguage, model_probs: dict[Trace, float]) -> tuple[dict[Trace, float], float]:
-    """The model's probability of each trace of the target's support, and their
-    sum.  Raises :class:`ZeroModelMass` when that sum is below ``MASS_FLOOR``."""
+def _mass_on_support(target: StochasticLanguage, model: np.ndarray) -> float:
+    """Sum of ``model``, one probability per support trace; :class:`ZeroModelMass` below ``MASS_FLOOR``."""
     if not target.is_complete:
         raise ValueError("target language must be complete")
-    restricted = {t: model_probs.get(t, 0.0) for t in target.probs}
-    mass = sum(restricted.values())
+    if len(model) != len(target.probs):
+        raise ValueError(f"{len(model)} model probabilities for a support of {len(target.probs)} traces")
+    mass = sum(model.tolist())
     if mass < MASS_FLOOR:
         raise ZeroModelMass(f"model mass on the log support is {mass}")
-    return restricted, mass
+    return mass
 
 
-def log_likelihood_divergence(target: StochasticLanguage, model_probs: dict[Trace, float]) -> float:
-    """Negative expected log model probability under the target (natural log).
-    Raises :class:`ZeroModelMass` when the model puts essentially no
-    probability on any observed trace."""
-    restricted, _ = _on_support(target, model_probs)
+def log_likelihood_divergence(target: StochasticLanguage, model: np.ndarray) -> float:
+    """Negative expected log model probability under the target (natural log),
+    ``model`` in ``target.probs`` order.  Raises :class:`ZeroModelMass` when
+    the model puts essentially no probability on any observed trace."""
+    _mass_on_support(target, model)
     total = 0.0
-    for trace, p_target in target.probs.items():
-        total -= p_target * np.log(max(restricted[trace], P_CLAMP))
-    return float(total)
+    for term in (np.fromiter(target.probs.values(), np.float64) * np.log(np.maximum(model, P_CLAMP))).tolist():
+        total -= term  # in support order, so the value does not depend on numpy's summation
+    return total
 
 
-def log_likelihood_gradient(target: StochasticLanguage, model_probs: dict[Trace, float]) -> dict[Trace, float]:
-    """∂/∂P(σ) of :func:`log_likelihood_divergence` for each modelled trace σ:
+def log_likelihood_gradient(target: StochasticLanguage, model: np.ndarray) -> np.ndarray:
+    """∂/∂P(σ) of :func:`log_likelihood_divergence`, in ``target.probs`` order:
     -q(σ)/P(σ), and 0 where the clamp at ``P_CLAMP`` holds."""
-    return {t: -target.probs.get(t, 0.0) / p if p > P_CLAMP else 0.0 for t, p in model_probs.items()}
+    q = np.fromiter(target.probs.values(), np.float64)
+    return np.divide(-q, model, out=np.zeros(len(q)), where=model > P_CLAMP)
 
 
-def restricted_emd(
-    target: StochasticLanguage, model_probs: dict[Trace, float], cost: CostMatrix | None = None
-) -> DistanceReport:
-    """EMD between the target and the model restricted to the target's support.
+def restricted_emd(target: StochasticLanguage, model: np.ndarray, cost: CostMatrix | None = None) -> DistanceReport:
+    """EMD between the target and the model (in ``target.probs`` order)
+    restricted to the target's support.
 
     The restriction is usually defective; it is renormalized to mass one
     before the transportation problem is solved.  ``cost`` is the
-    normalized-Levenshtein matrix over the support, built here when omitted;
-    callers that score many models against one target pass it in.  Raises
-    :class:`ZeroModelMass` when the model puts essentially no probability on
-    any observed trace.
+    normalized-Levenshtein matrix with the support, in order, as its rows and
+    columns; it is built here when omitted.  Raises :class:`ZeroModelMass`
+    when the model puts essentially no probability on any observed trace.
     """
-    restricted, mass = _on_support(target, model_probs)
-    support = tuple(restricted)
-    model_lang = StochasticLanguage({t: v / mass for t, v in restricted.items()}, 0.0)
+    mass = _mass_on_support(target, model)
+    support = tuple(target.probs)
     if cost is None:
         cost = levenshtein_cost_matrix(support, support)
-    plan = emd(target, model_lang, cost)
+    elif cost.rows != support or cost.cols != support:
+        raise ValueError("cost matrix rows and columns must both be the target's support, in its order")
+    plan = emd(list(target.probs.values()), model / mass, cost)
     value = min(max(plan.cost, 0.0), 1.0)
     return DistanceReport(kind="remd", value=value, model_mass_on_log=mass)
 

@@ -9,6 +9,7 @@ probabilities summing to less than one, with the gap tracked in ``residual``
 
 import csv
 import io
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -220,6 +221,10 @@ def write_csv(log: EventLog, case_col: str = "case", activity_col: str = "activi
 
 
 def write_xes(log: EventLog) -> bytes:
+    # XML 1.0 has no form, not even a character reference, for a character outside these ranges
+    bad = [a for a in log.alphabet if re.search("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]", a)]
+    if bad:
+        raise InputError(f"XES cannot hold activity {bad[0]!r}: XML 1.0 has no such character")
     root = ET.Element("log", {"xes.version": "1.0"})
     for trace, freq in log.entries.items():
         for _ in range(freq):

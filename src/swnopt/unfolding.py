@@ -3,7 +3,9 @@
 * Restricted unfolding, the probability of each trace of a fixed target set
   (a log's support), is one sparse linear solve over :class:`PrefixProduct`,
   the product of the graph with the targets' prefix trie.  The product
-  depends only on the graph and the targets, so it is built once.  Silent
+  depends only on the graph and the targets, so it is built once.  Inside,
+  probabilities are arrays in the product's target order; dicts keyed by
+  trace only at the edge (:func:`trace_probabilities`).  Silent
   cycles need no budget: the solve gives their exact absorption
   probabilities, the construction for trace probabilities of stochastic
   labelled Petri nets in Leemans, Syring & van der Aalst, *Earth Movers'
@@ -90,8 +92,10 @@ class _Trie:
 class PrefixProduct:
     """The graph × target-trie product and the sparse pattern of ``I - P^T``.
 
-    ``traces`` is any iterable of target traces; duplicates collapse, the
-    empty trace is allowed, and an empty set raises ``ValueError``.  Keys
+    ``traces`` (any iterable; the empty trace is allowed, an empty set raises
+    ``ValueError``) becomes the attribute of distinct targets in first-seen
+    order, which orders every probability array; ``producible`` masks the
+    targets with a hit.  Keys
     are (state, node) pairs over the targets' prefix trie, numbered breadth
     first from (initial state, root) along target prefixes: a silent arc
     keeps the node, a visible arc steps the trie.  An arc into the sink is a
@@ -108,30 +112,31 @@ class PrefixProduct:
     """
 
     def __init__(self, rg: ReachabilityGraph, traces: Iterable[Trace]):
+        self.traces: tuple[Trace, ...] = tuple(dict.fromkeys(map(tuple, traces)))
+        if not self.traces:
+            raise ValueError("target trace set must be non-empty")
         children: list[dict[str, int]] = [{}]  # the targets' prefix trie; node 0 is the root
-        member: dict[int, Trace] = {}  # trie node -> the target trace that ends there
-        for trace in traces:
+        target_of: dict[int, int] = {}  # trie node -> index in self.traces of the target ending there
+        for i, trace in enumerate(self.traces):
             node = 0
             for symbol in trace:
                 node = children[node].setdefault(symbol, len(children))
                 if node == len(children):
                     children.append({})
-            member[node] = tuple(trace)
-        if not member:
-            raise ValueError("target trace set must be non-empty")
+            target_of[node] = i
 
         index = {(rg.initial, 0): 0}
         keys = [(rg.initial, 0)]
         edges = []  # (source key, destination key, arc)
-        hits = []  # (source key, target node, arc)
+        hits = []  # (source key, target index, arc)
         for src, (state, node) in enumerate(keys):  # keys grows while iterated: breadth first
             for a, dst, symbol in rg.out_arcs[state]:
                 nxt = node if symbol is None else children[node].get(symbol)
                 if nxt is None:
                     continue
                 if dst == rg.sink_state:
-                    if nxt in member:
-                        hits.append((src, nxt, a))
+                    if nxt in target_of:
+                        hits.append((src, target_of[nxt], a))
                     continue
                 key = (dst, nxt)
                 if key not in index:
@@ -169,21 +174,18 @@ class PrefixProduct:
         self._e0 = np.eye(1, n)[0]
 
         hits = np.array(hits, dtype=np.int64).reshape(-1, 3)
-        nodes, self._hit_group = np.unique(hits[:, 1], return_inverse=True)
-        self._traces = [member[node] for node in nodes.tolist()]
-        self._hit_key, self._hit_arc = renumber[hits[:, 0]], hits[:, 2]
+        self._hit_key, self._hit_target, self._hit_arc = renumber[hits[:, 0]], hits[:, 1], hits[:, 2]
+        self.producible = np.bincount(self._hit_target, minlength=len(self.traces)) > 0
 
-    def probabilities(self, arg: AnnotatedRG) -> dict[Trace, float]:
-        """Probability of each target trace the graph can produce; a target it
-        cannot produce is absent.  Raises :class:`IllConditioned` when the
-        solve fails or gives a probability outside [0, 1]."""
+    def probabilities(self, arg: AnnotatedRG) -> np.ndarray:
+        """Probability of each target trace, in :attr:`traces` order; 0.0 for a
+        target the graph cannot produce.  Raises :class:`IllConditioned` when
+        the solve fails or gives a probability outside [0, 1]."""
         return self.probabilities_with_pullback(arg)[0]
 
-    def probabilities_with_pullback(
-        self, arg: AnnotatedRG
-    ) -> tuple[dict[Trace, float], Callable[[dict[Trace, float]], np.ndarray]]:
-        """:meth:`probabilities`, plus the map from ∂L/∂P(σ) per trace to
-        ∂L/∂p per arc of ``arg`` for any L of these probabilities.
+    def probabilities_with_pullback(self, arg: AnnotatedRG) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+        """:meth:`probabilities`, plus the map from ∂L/∂P(σ) (an array, like
+        them) to ∂L/∂p per arc of ``arg`` for any L of these probabilities.
 
         The map is one transposed solve on the factor already computed: with
         ``c`` the trace gradients weighted by each hit's arc probability at
@@ -193,8 +195,8 @@ class PrefixProduct:
         """
         arc_prob = arg.arc_prob
         n_arcs = len(arc_prob)
-        if not self._traces:
-            return {}, lambda trace_grad: np.zeros(n_arcs)
+        if not self.producible.any():
+            return np.zeros(len(self.traces)), lambda trace_grad: np.zeros(n_arcs)
         np.subtract(
             self._identity,
             np.bincount(self._edge_slot, arc_prob[self._edge_arc], len(self._identity)),
@@ -205,28 +207,30 @@ class PrefixProduct:
         except RuntimeError as exc:
             raise IllConditioned(f"trace probability solve failed: {exc}") from exc
         visits = lu.solve(self._e0)
-        probs = np.bincount(self._hit_group, visits[self._hit_key] * arc_prob[self._hit_arc], len(self._traces))
+        probs = np.bincount(self._hit_target, visits[self._hit_key] * arc_prob[self._hit_arc], len(self.traces))
         if not np.all((probs >= -_PROB_TOL) & (probs <= 1.0 + _PROB_TOL)):
             raise IllConditioned(f"trace probability solve left [0, 1]: {probs.min()} .. {probs.max()}")
 
-        def pullback(trace_grad: dict[Trace, float]) -> np.ndarray:
-            hit_grad = np.array([trace_grad.get(t, 0.0) for t in self._traces])[self._hit_group]
+        def pullback(trace_grad: np.ndarray) -> np.ndarray:
+            hit_grad = trace_grad[self._hit_target]
             c = np.bincount(self._hit_key, hit_grad * arc_prob[self._hit_arc], len(visits))
             adjoint = lu.solve(c, trans="T")
             arc_grad = np.bincount(self._hit_arc, hit_grad * visits[self._hit_key], n_arcs)
             arc_grad += np.bincount(self._edge_arc, adjoint[self._edge_dst] * visits[self._edge_src], n_arcs)
             return arc_grad
 
-        return dict(zip(self._traces, np.clip(probs, 0.0, 1.0).tolist())), pullback
+        return np.clip(probs, 0.0, 1.0), pullback
 
 
 def trace_probabilities(arg: AnnotatedRG, traces: Iterable[Trace]) -> dict[Trace, float]:
-    """Exact probability of each target trace under the annotated graph.
+    """Exact probability of each target trace; a target the graph cannot produce is absent.
 
     Builds the product and solves it once; callers that score many weight
     vectors against one target set keep a :class:`PrefixProduct` instead.
     """
-    return PrefixProduct(arg.rg, traces).probabilities(arg)
+    product = PrefixProduct(arg.rg, traces)
+    probs = product.probabilities(arg).tolist()
+    return {t: p for t, p, hit in zip(product.traces, probs, product.producible) if hit}
 
 
 def unfold_language(arg: AnnotatedRG, coverage: float = 1.0, max_trace_len: int | None = None) -> StochasticLanguage:

@@ -89,8 +89,8 @@ def test_criterion_2_closed_form_oracle():
 def test_criterion_3_transport_worked_example():
     rows = (("1",), ("2",), ("3",))
     cost = CostMatrix(rows, rows, np.abs(np.subtract.outer(np.arange(3), np.arange(3))).astype(float))
-    p = StochasticLanguage({("1",): 0.25, ("2",): 0.25, ("3",): 0.5})
-    q = StochasticLanguage({("1",): 0.5, ("2",): 0.5})
+    p = [0.25, 0.25, 0.5]
+    q = [0.5, 0.5, 0.0]
     plan = emd(p, q, cost)
     assert plan.cost == pytest.approx(0.75, abs=1e-12)
     assert plan.plan.sum(axis=1) == pytest.approx([0.25, 0.25, 0.5], abs=1e-9)

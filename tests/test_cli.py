@@ -287,6 +287,15 @@ def test_evaluate_reference_weighted_net(workdir, capsys):
     assert by_kind["temd"]["coverage_used"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_evaluate_warns_about_log_activities_the_net_lacks(workdir, capsys, tmp_path):
+    log = tmp_path / "extra.csv"
+    log.write_text(write_csv(parallel_choice_log()) + "extra,zz\n", encoding="utf-8")
+    assert main(["evaluate", "--net", str(workdir / "net.pnml"), "--log", str(log), "--measures", "lh,remd"]) == 0
+    out, err = capsys.readouterr()
+    assert "warning: log activities absent from the net: ['zz']" in err
+    assert [r["kind"] for r in json.loads(out)] == ["lh", "remd"]
+
+
 def test_evaluate_unweighted_net_uses_unit_weights(workdir, capsys, tmp_path):
     import re
 
@@ -488,6 +497,14 @@ def test_convert_log_with_empty_cases_to_csv_exits_2(tmp_path, capsys):
     out = tmp_path / "log.csv"
     assert main(["convert", "--in", str(xes), "--out", str(out)]) == 2
     assert "2 empty case" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_convert_to_xes_refuses_an_activity_xml_cannot_hold(tmp_path, capsys):
+    source, out = tmp_path / "in.csv", tmp_path / "out.xes"
+    source.write_text("case,activity\nc1,a\x01b\nc2,ok\n", encoding="utf-8")
+    assert main(["convert", "--in", str(source), "--out", str(out)]) == 2
+    assert "'a\\x01b'" in capsys.readouterr().err
     assert not out.exists()
 
 

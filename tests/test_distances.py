@@ -22,7 +22,7 @@ from swnopt.distances import (
 from swnopt.logs import StochasticLanguage
 from swnopt.optimize import ObjectiveSpec, evaluate_objective
 from swnopt.semantics import annotate, build_rg
-from swnopt.unfolding import trace_probabilities, unfold_language
+from swnopt.unfolding import PrefixProduct, unfold_language
 
 from .fixtures import (
     PARALLEL_CHOICE_PROBS,
@@ -42,7 +42,9 @@ def _annotated(swn):
 
 
 def _model_probs(swn, target):
-    return trace_probabilities(_annotated(swn), target.probs)
+    """The net's probability of each target trace, in ``target.probs`` order."""
+    arg = _annotated(swn)
+    return PrefixProduct(arg.rg, target.probs).probabilities(arg)
 
 
 # -- Levenshtein --------------------------------------------------------------
@@ -195,10 +197,6 @@ def test_levenshtein_cost_matrix_does_not_depend_on_the_column_block(monkeypatch
 # -- transportation problem ---------------------------------------------------
 
 
-def _point_language(masses):
-    return StochasticLanguage({(str(i + 1),): m for i, m in enumerate(masses) if m > 0.0})
-
-
 def _point_cost(n):
     rows = tuple((str(i + 1),) for i in range(n))
     cost = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
@@ -206,8 +204,8 @@ def _point_cost(n):
 
 
 def test_emd_worked_point_example():
-    p = _point_language([0.25, 0.25, 0.5])
-    q = _point_language([0.5, 0.5, 0.0])
+    p = [0.25, 0.25, 0.5]
+    q = [0.5, 0.5, 0.0]
     plan = emd(p, q, _point_cost(3))
     assert plan.cost == pytest.approx(0.75, abs=1e-12)
     # marginals: rows reproduce p, columns reproduce q
@@ -228,15 +226,15 @@ def test_emd_identity_and_unit_move():
 
 
 def test_emd_rejects_defective_languages():
-    p = _point_language([0.25, 0.25, 0.5])
-    defective = StochasticLanguage({("1",): 0.5}, residual=0.5)
+    p = [0.25, 0.25, 0.5]
+    defective = [0.5, 0.0, 0.0]
     with pytest.raises(InfeasibleMarginals):
         emd(p, defective, _point_cost(3))
 
 
 def test_emd_requires_cost_coverage():
-    p = StochasticLanguage({("a",): 1.0})
-    q = StochasticLanguage({("b",): 1.0})
+    p = [1.0]  # on ("a",)
+    q = [0.0, 1.0]  # on ("a",), ("b",): one column more than the matrix has
     cm = levenshtein_cost_matrix((("a",),), (("a",),))
     with pytest.raises(ValueError, match="does not cover"):
         emd(p, q, cm)
@@ -247,7 +245,7 @@ def test_emd_solves_marginals_below_highs_tolerance():
     # presolve wrongly reports as infeasible
     p_masses = [0.25, 0.25, 0.25, 0.25]
     q_masses = [1.0 - 2.1e-7, 6e-8, 7e-8, 8e-8]
-    plan = emd(_point_language(p_masses), _point_language(q_masses), _point_cost(4))
+    plan = emd(p_masses, q_masses, _point_cost(4))
     # on a line with cost |i - j| the EMD is the L1 distance between the CDFs
     closed_form = float(np.abs(np.cumsum(p_masses) - np.cumsum(q_masses))[:-1].sum())
     assert plan.cost == pytest.approx(closed_form, abs=1e-6)
@@ -279,7 +277,7 @@ def test_emd_matches_linprog_oracle(n, m):
         a[rng.choice(n, size=2, replace=False)] = [3e-8, 1e-10]  # below HiGHS's 1e-7 tolerance
         b[rng.integers(m)] = 5e-8
         a, b = a / a.sum(), b / b.sum()
-        plan = emd(StochasticLanguage(dict(zip(rows, a))), StochasticLanguage(dict(zip(cols, b))), cm)
+        plan = emd(a, b, cm)
         assert plan.cost == pytest.approx(_linprog_emd(a, b, cm.cost), abs=1e-12)
         # marginals hold to HiGHS's primal feasibility tolerance
         assert plan.plan.sum(axis=1) == pytest.approx(a, abs=1e-7)
@@ -299,11 +297,7 @@ def test_emd_beats_random_feasible_plans():
         cols = tuple(("c", str(j)) for j in range(m))
         cost = np.fromfunction(lambda i, j: abs(i - j) + 0.5, (n, m))
         cm = CostMatrix(rows, cols, cost)
-        plan = emd(
-            StochasticLanguage(dict(zip(rows, p))),
-            StochasticLanguage(dict(zip(cols, q))),
-            cm,
-        )
+        plan = emd(p, q, cm)
         for _ in range(1000):
             feasible = random_feasible_plan(p, q, rng)
             assert plan.cost <= (feasible * cost).sum() + 1e-9
@@ -338,7 +332,7 @@ def test_emd_metric_properties_sample():
 
 def test_lh_uniform_two_traces():
     target = StochasticLanguage({("t", "1"): 0.5, ("t", "2"): 0.5})
-    model = {("t", "1"): 0.5, ("t", "2"): 0.5}
+    model = np.array([0.5, 0.5])
     assert log_likelihood_divergence(target, model) == pytest.approx(math.log(2), abs=1e-12)
 
 
@@ -350,7 +344,7 @@ def test_lh_reference_net_reaches_entropy_floor():
 
 def test_lh_clamps_missing_traces():
     target = StochasticLanguage({("gone",): 0.25, ("there",): 0.75})
-    model = {("there",): 1.0}
+    model = np.array([0.0, 1.0])  # ("gone",) is missed
     value = log_likelihood_divergence(target, model)
     assert value == pytest.approx(0.25 * -math.log(1e-12), abs=1e-9)
     assert math.isfinite(value)
@@ -358,7 +352,7 @@ def test_lh_clamps_missing_traces():
 
 def test_lh_requires_complete_target():
     with pytest.raises(ValueError):
-        log_likelihood_divergence(StochasticLanguage({("a",): 0.5}, residual=0.5), {})
+        log_likelihood_divergence(StochasticLanguage({("a",): 0.5}, residual=0.5), np.zeros(1))
 
 
 def test_lh_gibbs_inequality_on_random_distributions():
@@ -372,8 +366,8 @@ def test_lh_gibbs_inequality_on_random_distributions():
         m_probs = {tr: v / sum(m_raw) for tr, v in zip(traces, m_raw)}
         target = StochasticLanguage(t_probs)
         entropy = -sum(p * math.log(p) for p in t_probs.values())
-        assert log_likelihood_divergence(target, m_probs) >= entropy - 1e-12
-        assert log_likelihood_divergence(target, t_probs) == pytest.approx(entropy, abs=1e-12)
+        assert log_likelihood_divergence(target, np.array(list(m_probs.values()))) >= entropy - 1e-12
+        assert log_likelihood_divergence(target, np.array(list(t_probs.values()))) == pytest.approx(entropy, abs=1e-12)
 
 
 # -- restricted EMD -----------------------------------------------------------
@@ -399,7 +393,7 @@ def test_remd_swapped_masses_matches_grid_oracle():
             ("a", "d", "b"): 0.15,
         }
     )
-    report = restricted_emd(target, model)
+    report = restricted_emd(target, np.array([model[t] for t in target.probs]))
     rows = tuple(target.probs)
     cost = [[normalized_levenshtein(r, c) for c in rows] for r in rows]
     units_target = [round(target.probs[t] * 100) for t in rows]
@@ -413,7 +407,7 @@ def test_remd_renormalizes_defective_restriction():
     target = parallel_choice_language()
     # model leaks half its mass outside the log support
     model = {("a", "b", "c"): 0.075, ("a", "c", "b"): 0.175, ("a", "b", "d"): 0.075, ("a", "d", "b"): 0.175}
-    report = restricted_emd(target, model)
+    report = restricted_emd(target, np.array([model[t] for t in target.probs]))
     assert report.model_mass_on_log == pytest.approx(0.5, abs=1e-12)
     assert report.value == pytest.approx(0.0, abs=1e-9)  # same shape after renormalization
 
@@ -421,7 +415,7 @@ def test_remd_renormalizes_defective_restriction():
 def test_remd_zero_model_mass():
     target = parallel_choice_language()
     with pytest.raises(ZeroModelMass):
-        restricted_emd(target, {})
+        restricted_emd(target, np.zeros(len(target.probs)))
 
 
 def test_remd_value_independent_of_evaluation_history():
@@ -440,6 +434,28 @@ def test_remd_value_independent_of_evaluation_history():
         values.append(evaluate_objective(spec, probe))
     assert values[0] == values[1]
     assert 0.0 < values[0] < 1.0
+
+
+def test_model_arrays_of_the_wrong_length_raise():
+    target = parallel_choice_language()
+    short = np.full(3, 1 / 3)  # the support holds four traces
+    with pytest.raises(ValueError, match="support of 4"):
+        log_likelihood_divergence(target, short)
+    with pytest.raises(ValueError, match="support of 4"):
+        restricted_emd(target, short)
+    with pytest.raises(ValueError, match="does not cover"):
+        emd([0.5, 0.5], [0.25, 0.25, 0.5], _point_cost(3))
+
+
+def test_remd_refuses_a_cost_matrix_over_the_support_in_another_order():
+    # the arrays are positional, so such a matrix would silently give a wrong value
+    target = parallel_choice_language()
+    support = tuple(target.probs)
+    model = np.array([PARALLEL_CHOICE_PROBS[t] for t in support])
+    for rows, cols in ((support[::-1], support), (support, support[::-1]), (support[::-1], support[::-1])):
+        with pytest.raises(ValueError, match="order"):
+            restricted_emd(target, model, levenshtein_cost_matrix(rows, cols))
+    assert restricted_emd(target, model, levenshtein_cost_matrix(support, support)).value == pytest.approx(0, abs=1e-9)
 
 
 def test_transport_model_built_once_per_cost_matrix(monkeypatch):
@@ -502,7 +518,8 @@ def test_temd_partial_coverage_is_flagged_not_fatal():
 
 
 def test_distance_report_json_shape():
-    report = restricted_emd(parallel_choice_language(), PARALLEL_CHOICE_PROBS)
+    target = parallel_choice_language()
+    report = restricted_emd(target, np.array([PARALLEL_CHOICE_PROBS[t] for t in target.probs]))
     payload = report.to_json_dict()
     assert set(payload) == {"kind", "value", "model_mass_on_log", "coverage_used"}
     assert payload["kind"] == "remd"

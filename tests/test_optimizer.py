@@ -6,7 +6,7 @@ import pytest
 
 import swnopt.optimize
 import swnopt.unfolding
-from swnopt.distances import P_CLAMP, log_likelihood_gradient
+from swnopt.distances import P_CLAMP, language_emd, log_likelihood_gradient
 from swnopt.logs import StochasticLanguage, log_language
 from swnopt.optimize import (
     AllStartsInvalid,
@@ -22,7 +22,7 @@ from swnopt.optimize import (
     select_start,
 )
 from swnopt.semantics import annotate, build_rg
-from swnopt.unfolding import IllConditioned, PrefixProduct, unfold_language
+from swnopt.unfolding import IllConditioned, PrefixProduct, trace_probabilities, unfold_language
 
 from .fixtures import (
     PARALLEL_CHOICE_WEIGHTS,
@@ -360,11 +360,28 @@ def test_lh_gradient_matches_central_differences(name):
     rng = np.random.default_rng(3)
     for _ in range(3):
         x = np.log(rng.uniform(0.05, 1.0, spec.n_weights))
-        assert min(spec._product.probabilities(annotate(spec.rg, np.exp(x))).values()) > 1e3 * P_CLAMP
+        assert spec._product.probabilities(annotate(spec.rg, np.exp(x))).min() > 1e3 * P_CLAMP
         value, grad = evaluate_objective(spec, np.exp(x), gradient=True)
         assert value == evaluate_objective(spec, np.exp(x))  # bit for bit
         reference = _central(spec, x)
         assert np.max(np.abs(grad - reference)) <= 1e-6 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("name", list(_GRADIENT_SPECS))
+def test_objective_values_equal_a_trace_keyed_reference_bit_for_bit(name):
+    """The array path sums in target order, as a plain loop over a dict does."""
+    lh = _GRADIENT_SPECS[name]()
+    remd = ObjectiveSpec(measure="remd", rg=lh.rg, target=lh.target)
+    weights = np.random.default_rng(4).uniform(0.05, 1.0, lh.n_weights)
+    probs = trace_probabilities(annotate(lh.rg, weights), lh.target.probs)
+    expected = 0.0
+    for trace, q in lh.target.probs.items():
+        expected -= q * np.log(max(probs.get(trace, 0.0), P_CLAMP))
+    assert evaluate_objective(lh, weights) == expected
+    restricted = {t: probs.get(t, 0.0) for t in lh.target.probs}
+    mass = sum(restricted.values())
+    model = StochasticLanguage({t: p / mass for t, p in restricted.items()})
+    assert evaluate_objective(remd, weights) == min(max(language_emd(lh.target, model).cost, 0.0), 1.0)
 
 
 @pytest.fixture
@@ -388,15 +405,13 @@ def test_lh_value_and_gradient_factors_once(splu_calls):
 
 
 def test_clamped_target_trace_contributes_no_gradient():
-    assert log_likelihood_gradient(StochasticLanguage({("a",): 0.5, ("b",): 0.5}), {("a",): 1e-13, ("b",): 0.25}) == {
-        ("a",): 0.0,
-        ("b",): -2.0,
-    }
+    target = StochasticLanguage({("a",): 0.5, ("b",): 0.5})
+    assert log_likelihood_gradient(target, np.array([1e-13, 0.25])).tolist() == [0.0, -2.0]
     # d nearly never fires, so ⟨a,b,d⟩ and ⟨a,d,b⟩ sit below P_CLAMP: their
     # clamped terms are constant, and the d component is left near zero
     spec = _pc_spec("lh")
     x = np.log(np.array([1.0, 0.3, 0.35, 1e-14, 1.0]))
-    probs = spec._product.probabilities(annotate(spec.rg, np.exp(x)))
+    probs = dict(zip(spec._product.traces, spec._product.probabilities(annotate(spec.rg, np.exp(x)))))
     assert probs[("a", "b", "d")] < P_CLAMP and probs[("a", "d", "b")] < P_CLAMP
     _, grad = evaluate_objective(spec, np.exp(x), gradient=True)
     reference = _central(spec, x)

@@ -1,11 +1,15 @@
+import json
 import random
 
 import numpy as np
 import pytest
 
 from swnopt import unfolding
+from swnopt.cli import main
+from swnopt.logs import EventLog, write_csv
 from swnopt.logs import StochasticLanguage
 from swnopt.nets import LabeledPetriNet, StochasticWorkflowNet, validate_workflow
+from swnopt.pnml import write_pnml
 from swnopt.optimize import INVALID_OBJECTIVE, ObjectiveSpec, _score, evaluate_objective
 from swnopt.semantics import annotate, build_rg
 from swnopt.unfolding import (
@@ -40,6 +44,31 @@ def test_trace_probabilities_collapses_duplicate_targets():
     twice = trace_probabilities(arg, [("a", "b", "c"), ("a", "c", "b"), ["a", "b", "c"]])
     assert twice == once
     assert list(twice) == [("a", "b", "c"), ("a", "c", "b")]
+
+
+def test_prefix_product_orders_targets_as_first_seen():
+    rg = build_rg(parallel_choice_swn().wn)
+    # trie order would put ("a",) first: its node is created by the first target
+    product = PrefixProduct(rg, [("a", "c", "b"), ("a",), ["a", "c", "b"], ("a", "b", "c"), ("a",)])
+    assert product.traces == (("a", "c", "b"), ("a",), ("a", "b", "c"))
+    assert product.producible.tolist() == [True, False, True]
+
+
+def test_unproducible_target_reads_zero_and_is_absent_from_the_edge(tmp_path, capsys):
+    swn = parallel_choice_swn()
+    arg = _annotated(swn)
+    targets = [("a", "b", "c"), ("x",), ("a", "c", "b")]
+    probs = PrefixProduct(arg.rg, targets).probabilities(arg)
+    assert probs.tolist() == pytest.approx([0.15, 0.0, 0.35], abs=1e-12)
+    assert probs[1] == 0.0
+    assert trace_probabilities(arg, targets) == {targets[0]: probs[0], targets[2]: probs[2]}
+    assert PrefixProduct(arg.rg, [("x",)]).probabilities(arg).tolist() == [0.0]
+
+    (tmp_path / "net.pnml").write_bytes(write_pnml(swn))
+    (tmp_path / "log.csv").write_text(write_csv(EventLog({t: 1 for t in targets})), encoding="utf-8")
+    assert main(["unfold", "--net", str(tmp_path / "net.pnml"), "--log", str(tmp_path / "log.csv")]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [tuple(e["trace"]) for e in payload["traces"]] == [targets[0], targets[2]]
 
 
 def test_trace_probabilities_empty_trace_target():
