@@ -92,10 +92,10 @@ class _Trie:
 class PrefixProduct:
     """The graph × target-trie product and the sparse pattern of ``I - P^T``.
 
-    ``traces`` (any iterable; the empty trace is allowed, an empty set raises
-    ``ValueError``) becomes the attribute of distinct targets in first-seen
-    order, which orders every probability array; ``producible`` masks the
-    targets with a hit.  Keys
+    ``traces`` is any iterable of target traces; the empty trace is allowed,
+    and an empty set raises ``ValueError``.  The attribute ``traces`` keeps
+    the distinct ones in first-seen order, the order of every probability
+    array; ``producible`` masks those with a hit.  Keys
     are (state, node) pairs over the targets' prefix trie, numbered breadth
     first from (initial state, root) along target prefixes: a silent arc
     keeps the node, a visible arc steps the trie.  An arc into the sink is a

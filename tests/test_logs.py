@@ -247,6 +247,15 @@ def test_xes_roundtrip_preserves_frequencies():
     assert parse_xes(write_xes(log)).entries == log.entries
 
 
+@pytest.mark.parametrize("bad", ["\x00", "\x01", "\x1f", "\ud800", "\ufffe"])
+def test_write_xes_refuses_an_activity_xml_cannot_hold(bad):
+    # the reader would reject the file; whitespace controls and astral characters are fine
+    kept = EventLog({("a\tb", "c\nd", "e\rf", "\U0001f600"): 2})
+    assert parse_xes(write_xes(kept)) == kept
+    with pytest.raises(InputError, match="cannot hold activity"):
+        write_xes(EventLog({("ok", f"x{bad}y"): 1}))
+
+
 def test_stochastic_language_validation():
     with pytest.raises(ValueError):
         StochasticLanguage({("a",): 0.5})  # mass accounted nowhere
