@@ -79,7 +79,8 @@ print("\nlog-likelihood divergence:", log_likelihood_divergence(target, model))
 report = restricted_emd(target, model)
 print("restricted EMD:", report.value, "(model mass on the log:", report.model_mass_on_log, ")")
 
-# truncated EMD: unfold the infinite language up to 80% coverage instead
+# truncated EMD: the infinite language's most probable traces, up to the
+# first one that brings their mass to 80% coverage
 report = truncated_emd(target, unfold_language(annotated, coverage=0.8))
 print("truncated EMD:", report.value, "(coverage reached:", report.coverage_used, ")")
 

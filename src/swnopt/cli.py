@@ -64,15 +64,15 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace, arg
         dest = key.replace("-", "_")
         if dest not in options:
             print(f"warning: config key {key!r} is not an option of {args.command}; ignored", file=sys.stderr)
-        elif isinstance(getattr(args, dest), bool):
-            defaults[dest] = value.lower() in ("1", "true", "yes")
-        elif actions[dest].choices is not None and value not in actions[dest].choices:
+            continue
+        boolean = isinstance(getattr(args, dest), bool)
+        allowed = ("1", "true", "yes", "0", "false", "no") if boolean else actions[dest].choices
+        value = value.lower() if boolean else value
+        if allowed is not None and value not in allowed:
             # argparse checks choices on the command line only, not on defaults
-            choices = ", ".join(map(repr, actions[dest].choices))
-            message = f"invalid choice: {value!r} in {args.config} (choose from {choices})"
+            message = f"invalid choice: {value!r} in {args.config} (choose from {', '.join(map(repr, allowed))})"
             args.parser.error(str(argparse.ArgumentError(actions[dest], message)))
-        else:
-            defaults[dest] = value
+        defaults[dest] = value in ("1", "true", "yes") if boolean else value
     args.parser.set_defaults(**defaults)
     return parser.parse_args(argv)
 
@@ -205,8 +205,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             report = truncated_emd(target, unfold_language(annotated, args.coverage, args.max_trace_len))
             if report.coverage_used < args.coverage:
                 print(
-                    f"warning: tEMD budgets bound at coverage {report.coverage_used} "
-                    f"< requested {args.coverage}; value is partial",
+                    f"warning: tEMD unfolding reached coverage {report.coverage_used} < requested {args.coverage}: "
+                    "--max-trace-len or markings that cannot reach the sink cut the rest; value is partial",
                     file=sys.stderr,
                 )
             reports.append(report)

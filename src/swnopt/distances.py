@@ -27,8 +27,9 @@ marginals arrays in cost-matrix order; only :func:`language_emd` and
   blocks of bounded size); ``levenshtein`` is the per-pair reference.
 * ``restricted_emd``: EMD after restricting the model language to the
   target's support and renormalizing; cheap enough to drive optimization.
-* ``truncated_emd``: EMD against the model language ``unfold_language``
-  truncated at a coverage threshold; used for evaluation, not optimization.
+* ``truncated_emd``: EMD against the most probable part of the model
+  language, ``unfold_language`` stopped at a coverage threshold; used for
+  evaluation, not optimization.
 """
 
 from collections.abc import Sequence
@@ -275,7 +276,8 @@ class DistanceReport:
     ``model_mass_on_log`` (rEMD) is the model probability found on the
     target's support before renormalization; ``coverage_used`` (tEMD) is the
     probability mass the truncated unfolding actually reached — a value
-    below the requested coverage flags a partial result.
+    below the requested coverage flags a partial result, cut by the trace
+    length budget or by markings that cannot reach the sink.
     """
 
     kind: str
@@ -343,7 +345,8 @@ def truncated_emd(target: StochasticLanguage, model: StochasticLanguage) -> Dist
 
     Both sides are renormalized to mass one before the LP.  The model's mass
     is reported as ``coverage_used``; it falls below the requested coverage
-    when the level, length or floor budgets bound first.
+    when the trace length budget or markings that cannot reach the sink cut
+    the unfolding first.
     """
     mass = model.mass()
     if mass < MASS_FLOOR:

@@ -11,17 +11,19 @@
   labelled Petri nets in Leemans, Syring & van der Aalst, *Earth Movers'
   Stochastic Conformance Checking* (BPM Forum 2019).  The targets' trie is
   as large as the targets themselves, so it has no size cap.
-* :func:`unfold_language` enumerates the free language level by level (one
-  level = one arc traversal; queue keys are (state, trie node) pairs in
-  per-level buckets) until the completed mass reaches a coverage threshold.
-  A caller sets two budgets, the coverage and an optional trace length.  The
-  language may be infinite, so the code also bounds the work itself: a level
-  budget derived from the graph, the per-key floor :data:`PROB_FLOOR` and
-  :data:`MAX_PREFIXES`.  The mass not collected is left in ``residual``.
-  :data:`PROB_FLOOR` and :data:`MAX_PREFIXES` bound only this free unfolding.
+* :func:`unfold_language` unfolds the free language best first, most
+  probable prefix next, until the collected mass reaches a coverage
+  threshold.  The silent moves are factored once per call, so silent cycles
+  are exact here too.  A caller sets two budgets, the coverage and an
+  optional trace length.  The language may be infinite, so the code caps
+  the prefixes it creates at :data:`MAX_PREFIXES`.  The mass not collected
+  is left in ``residual``.
+
+Both prune the nodes from which no trace can end (:func:`_reaching`) and
+accept a solved probability only inside [0, 1] (:func:`_unit_interval`).
 """
 
-import math
+import heapq
 from typing import Callable, Iterable
 
 import numpy as np
@@ -32,10 +34,7 @@ from .errors import ComputationError
 from .logs import StochasticLanguage, Trace
 from .semantics import AnnotatedRG, ReachabilityGraph
 
-#: Free unfolding: a key whose probability falls below this is dropped, its mass left in the residual.
-PROB_FLOOR = 1e-12
-
-#: Most nodes the free unfolding's trie may hold; past it `_Trie.add` raises PrefixCapExceeded.
+#: Most trace prefixes the free unfolding may create; past it PrefixCapExceeded is raised.
 MAX_PREFIXES = 1 << 20
 
 #: How far a solved probability may leave [0, 1] before the solve is rejected.
@@ -50,43 +49,34 @@ class IllConditioned(ComputationError):
     """Trace probabilities beyond float precision (a silent cycle's escape is below it)."""
 
 
-class _Trie:
-    """Append-only trie of the free unfolding; node 0 is the root (empty trace).
+def _reaching(n: int, edges: Iterable[tuple[int, int]], seeds: Iterable[int]) -> np.ndarray:
+    """Mask of the ``n`` nodes from which a seed is reachable along ``edges``, (source, destination) pairs."""
+    preds: list[list[int]] = [[] for _ in range(n)]
+    for src, dst in edges:
+        preds[dst].append(src)
+    live = [False] * n
+    stack = list(seeds)
+    while stack:
+        k = stack.pop()
+        if not live[k]:
+            live[k] = True
+            stack.extend(preds[k])
+    return np.array(live, dtype=bool)
 
-    :meth:`add` creates no node deeper than ``max_depth`` and no more than
-    :data:`MAX_PREFIXES` nodes.
-    """
 
-    __slots__ = ("parent", "symbol", "depth", "children", "max_depth")
+def _factor(matrix: sparse.csc_array):
+    """SuperLU factor of ``matrix`` in its own order; :class:`IllConditioned` when it is singular."""
+    try:
+        return splu(matrix, permc_spec="NATURAL")
+    except RuntimeError as exc:
+        raise IllConditioned(f"trace probability solve failed: {exc}") from exc
 
-    def __init__(self, max_depth: float = math.inf):
-        self.parent = [-1]
-        self.symbol: list[str | None] = [None]
-        self.depth = [0]
-        self.children: list[dict[str, int]] = [{}]
-        self.max_depth = max_depth
 
-    def add(self, node: int, symbol: str) -> int | None:
-        child = self.children[node].get(symbol)
-        if child is None:
-            if self.depth[node] >= self.max_depth:
-                return None
-            child = len(self.parent)
-            if child >= MAX_PREFIXES:
-                raise PrefixCapExceeded(f"over {MAX_PREFIXES} trace prefixes; lower --coverage or set --max-trace-len")
-            self.parent.append(node)
-            self.symbol.append(symbol)
-            self.depth.append(self.depth[node] + 1)
-            self.children.append({})
-            self.children[node][symbol] = child
-        return child
-
-    def trace_of(self, node: int) -> Trace:
-        parts = []
-        while node > 0:
-            parts.append(self.symbol[node])
-            node = self.parent[node]
-        return tuple(reversed(parts))
+def _unit_interval(probs: np.ndarray) -> np.ndarray:
+    """``probs`` clipped to [0, 1]; :class:`IllConditioned` when one leaves it by more than :data:`_PROB_TOL`."""
+    if not np.all((probs >= -_PROB_TOL) & (probs <= 1.0 + _PROB_TOL)):
+        raise IllConditioned(f"trace probability solve left [0, 1]: {probs.min()} .. {probs.max()}")
+    return np.clip(probs, 0.0, 1.0)
 
 
 class PrefixProduct:
@@ -144,16 +134,7 @@ class PrefixProduct:
                     keys.append(key)
                 edges.append((src, index[key], a))
 
-        preds: list[list[int]] = [[] for _ in keys]
-        for src, dst, _ in edges:
-            preds[dst].append(src)
-        live = np.zeros(len(keys), dtype=bool)
-        stack = [src for src, _, _ in hits]
-        while stack:
-            k = stack.pop()
-            if not live[k]:
-                live[k] = True
-                stack.extend(preds[k])
+        live = _reaching(len(keys), [(src, dst) for src, dst, _ in edges], [src for src, _, _ in hits])
         renumber = np.cumsum(live) - 1
         edges = np.array(edges, dtype=np.int64).reshape(-1, 3)
         kept = edges[live[edges[:, 1]]]  # a predecessor of a live key is live
@@ -202,14 +183,11 @@ class PrefixProduct:
             np.bincount(self._edge_slot, arc_prob[self._edge_arc], len(self._identity)),
             out=self._matrix.data,
         )
-        try:
-            lu = splu(self._matrix, permc_spec="NATURAL")
-        except RuntimeError as exc:
-            raise IllConditioned(f"trace probability solve failed: {exc}") from exc
+        lu = _factor(self._matrix)
         visits = lu.solve(self._e0)
-        probs = np.bincount(self._hit_target, visits[self._hit_key] * arc_prob[self._hit_arc], len(self.traces))
-        if not np.all((probs >= -_PROB_TOL) & (probs <= 1.0 + _PROB_TOL)):
-            raise IllConditioned(f"trace probability solve left [0, 1]: {probs.min()} .. {probs.max()}")
+        probs = _unit_interval(
+            np.bincount(self._hit_target, visits[self._hit_key] * arc_prob[self._hit_arc], len(self.traces))
+        )
 
         def pullback(trace_grad: np.ndarray) -> np.ndarray:
             hit_grad = trace_grad[self._hit_target]
@@ -219,7 +197,7 @@ class PrefixProduct:
             arc_grad += np.bincount(self._edge_arc, adjoint[self._edge_dst] * visits[self._edge_src], n_arcs)
             return arc_grad
 
-        return np.clip(probs, 0.0, 1.0), pullback
+        return probs, pullback
 
 
 def trace_probabilities(arg: AnnotatedRG, traces: Iterable[Trace]) -> dict[Trace, float]:
@@ -234,55 +212,67 @@ def trace_probabilities(arg: AnnotatedRG, traces: Iterable[Trace]) -> dict[Trace
 
 
 def unfold_language(arg: AnnotatedRG, coverage: float = 1.0, max_trace_len: int | None = None) -> StochasticLanguage:
-    """Unrestricted unfolding, stopped once completed mass reaches ``coverage``.
+    """The free language, most probable prefix first, up to the first trace
+    that brings the collected mass to ``coverage``.
 
-    The coverage check runs between levels, so each level is always fully
-    merged before its keys are expanded.  Besides the caller's trace length
-    budget, the unfolding stops after ``(1 + (max_trace_len or n_states)) *
-    n_states`` levels and drops a key below :data:`PROB_FLOOR`.  The result
-    has ``residual = 1 - sum(probs)``; a residual above ``1 - coverage`` means
-    one of these bounds cut first.  Past :data:`MAX_PREFIXES` trie nodes it
-    raises :class:`PrefixCapExceeded`.
+    The silent moves are factored once: ``S = (I - P_τ)^{-1}`` over the
+    markings that can reach the sink.  A prefix u holds one row vector
+    ``v_u`` of expected visits, ``v_ua = (v_u P_a) S``, and P(u) is ``v_u``
+    at the sink, exact through silent cycles.  Prefixes come off a heap by
+    their mass ``sum(v_u)``, ties broken by creation order with labels in
+    sorted order.  No prefix grows past ``max_trace_len``.  The result has
+    ``residual = 1 - sum(probs)``; a residual above ``1 - coverage`` means
+    the length budget or markings that cannot reach the sink cut it.  Past
+    :data:`MAX_PREFIXES` prefixes it raises :class:`PrefixCapExceeded`, on a
+    singular closure or a probability outside [0, 1] :class:`IllConditioned`.
     """
     if not (0.0 < coverage <= 1.0):
         raise ValueError("coverage must be in (0, 1]")
     if max_trace_len is not None and max_trace_len < 1:
         raise ValueError("max_trace_len must be >= 1")
     rg = arg.rg
-    max_level = (1 + (max_trace_len or rg.n_states)) * rg.n_states
+    if rg.sink_state is None:
+        return StochasticLanguage(probs={}, residual=1.0)
+    edges = ((src, dst) for src, row in enumerate(rg.out_arcs) for _, dst, _ in row)
+    live = _reaching(rg.n_states, edges, [rg.sink_state])
+    n, arc_prob = rg.n_states, arg.arc_prob.tolist()
+    labels = sorted({symbol for row in rg.out_arcs for _, _, symbol in row} - {None})
+    # P_τ^T, then P_a^T for each label a in order, stacked.  Arcs into markings
+    # that cannot reach the sink are dropped, which isolates those markings.
+    first_row = {None: 0} | {symbol: (k + 1) * n for k, symbol in enumerate(labels)}
+    rows, cols, values = zip(*(
+        (first_row[symbol] + dst, src, arc_prob[a])
+        for src, row in enumerate(rg.out_arcs) for a, dst, symbol in row if live[dst]
+    ))
+    moves = sparse.csr_array((values, (rows, cols)), shape=((len(labels) + 1) * n, n))
+    closure = _factor(sparse.csc_array(sparse.eye_array(n) - moves[:n]))
+    steps = moves[n:]
 
-    # a path the length budget stops leaves its mass in the residual
-    trie = _Trie(max_trace_len if max_trace_len is not None else math.inf)
-    arcs = rg.out_arcs
-    arc_prob = arg.arc_prob.tolist()
     sink = rg.sink_state
-    collected: dict[int, float] = {}
-    collected_mass = 0.0
-    current: dict[tuple[int, int], float] = {(rg.initial, 0): 1.0}
-    level = 0
-    while current and collected_mass < coverage:
-        nxt: dict[tuple[int, int], float] = {}
-        for (state, node), pr in current.items():
-            for a, dst, symbol in arcs[state]:
-                if symbol is None:
-                    new_node = node
-                else:
-                    new_node = trie.add(node, symbol)
-                    if new_node is None:
-                        continue
-                new_pr = pr * arc_prob[a]
-                if dst == sink:
-                    collected[new_node] = collected.get(new_node, 0.0) + new_pr
-                    collected_mass += new_pr
-                elif level < max_level:
-                    key = (dst, new_node)
-                    if key in nxt:
-                        nxt[key] += new_pr
-                    else:
-                        nxt[key] = new_pr
-        current = {key: pr for key, pr in nxt.items() if pr >= PROB_FLOOR}
-        level += 1
+    start = closure.solve(np.eye(1, n, rg.initial)[0])
+    heap = [(-start.sum(), 0, (), start)]
+    created = 1
+    collected: dict[Trace, float] = {}
+    mass = 0.0
+    while heap:
+        _, _, trace, visits = heapq.heappop(heap)
+        if visits[sink] != 0.0:
+            collected[trace] = float(visits[sink])
+            mass += collected[trace]
+            if not mass < coverage:  # NaN stops the walk too; the range check rejects it
+                break
+        if len(trace) == max_trace_len:
+            continue
+        before = (steps @ visits).reshape(len(labels), n)
+        fired = np.flatnonzero(before.any(axis=1)).tolist()
+        if not fired:
+            continue
+        if created + len(fired) > MAX_PREFIXES:
+            raise PrefixCapExceeded(f"over {MAX_PREFIXES} trace prefixes; lower --coverage or set --max-trace-len")
+        for k, after in zip(fired, closure.solve(before[fired].T).T):  # one solve, a column per label
+            heapq.heappush(heap, (-after.sum(), created, trace + (labels[k],), after))
+            created += 1
 
-    probs = {trie.trace_of(node): pr for node, pr in collected.items()}
-    residual = max(0.0, 1.0 - sum(probs.values()))
-    return StochasticLanguage(probs=probs, residual=residual)
+    clipped = _unit_interval(np.fromiter(collected.values(), np.float64, len(collected))).tolist()
+    probs = {trace: p for trace, p in zip(collected, clipped) if p > 0.0}
+    return StochasticLanguage(probs=probs, residual=max(0.0, 1.0 - sum(probs.values())))

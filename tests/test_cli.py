@@ -1,16 +1,22 @@
 import argparse
 import json
 import math
+import os
+import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from swnopt import cli
 from swnopt.cli import main
+from swnopt.distances import normalized_levenshtein
 from swnopt.logs import EventLog, parse_csv, parse_xes, write_csv, write_xes
 from swnopt.optimize import OptimizerConfig
 from swnopt.pnml import parse_pnml, write_pnml
-from swnopt.semantics import DEFAULT_STATE_CAP
+from swnopt.semantics import DEFAULT_STATE_CAP, annotate, build_rg
+from swnopt.unfolding import unfold_language
 
 from .fixtures import (
     parallel_choice_log,
@@ -18,6 +24,8 @@ from .fixtures import (
     two_loop_log,
     two_loop_swn,
 )
+from .oracles import mincost_transport_units
+from .treegen import random_swn
 
 UNIFORM_BRANCH_LH = 0.3 * math.log(6) + 0.7 * math.log(3)  # every weight 1.0
 
@@ -222,7 +230,7 @@ def test_parser_defaults_come_from_the_library():
         assert parser.parse_args([command]).state_cap == DEFAULT_STATE_CAP
 
 
-@pytest.mark.parametrize("value,listed", [("false", False), ("yes", True)])
+@pytest.mark.parametrize("value,listed", [("false", False), ("yes", True), ("No", False), ("TRUE", True)])
 def test_config_boolean_timings(workdir, capsys, value, listed):
     cfg = workdir / "run.cfg"
     cfg.write_text(f"timings = {value}\nn0 = 2\nmax_iter = 2\n")
@@ -239,6 +247,14 @@ def test_config_bad_value_exits_2_naming_the_option(workdir, capsys):
         main(_discover_args(workdir) + ["--config", str(cfg)])
     assert exc.value.code == 2
     assert "n0" in capsys.readouterr().err
+    # a misspelt boolean is refused, not read as false
+    cfg.write_text("timings = ture\n")
+    with pytest.raises(SystemExit) as exc:
+        main(_discover_args(workdir) + ["--config", str(cfg)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--timings" in err and "'ture'" in err
+    assert not (workdir / "report.json").exists()
 
 
 def test_config_value_outside_choices_exits_2_naming_the_option(workdir, capsys):
@@ -271,18 +287,24 @@ def test_config_file_with_byte_order_mark(workdir, capsys):
 
 
 def test_evaluate_reference_weighted_net(workdir, capsys):
-    code = main([
-        "evaluate",
-        "--net", str(workdir / "net.pnml"),
-        "--log", str(workdir / "log.csv"),
-        "--coverage", "0.8",
-    ])
-    assert code == 0
-    reports = json.loads(capsys.readouterr().out)
-    by_kind = {r["kind"]: r for r in reports}
+    def evaluate(coverage):
+        args = ["evaluate", "--net", str(workdir / "net.pnml"), "--log", str(workdir / "log.csv")]
+        assert main(args + ["--coverage", coverage]) == 0
+        return {r["kind"]: r for r in json.loads(capsys.readouterr().out)}
+
+    by_kind = evaluate("0.8")
     floor = -(2 * 0.15 * math.log(0.15) + 2 * 0.35 * math.log(0.35))
     assert by_kind["lh"]["value"] == pytest.approx(floor, abs=1e-9)
     assert by_kind["remd"]["value"] == pytest.approx(0.0, abs=1e-9)
+    # the unfolding stops at {acb, adb, abc} (mass 0.85); tEMD is the transport
+    # oracle on a 1/340 grid between the log and that language at 7/17, 7/17, 3/17
+    rows = [("a", "b", "c"), ("a", "c", "b"), ("a", "b", "d"), ("a", "d", "b")]
+    cost = [[normalized_levenshtein(r, c) for c in rows] for r in rows]
+    oracle = mincost_transport_units([51, 119, 51, 119], [60, 140, 0, 140], cost) / 340
+    assert by_kind["temd"]["value"] == pytest.approx(oracle, abs=1e-9)
+    assert by_kind["temd"]["coverage_used"] == pytest.approx(0.85, abs=1e-9)
+
+    by_kind = evaluate("1.0")
     assert by_kind["temd"]["value"] == pytest.approx(0.0, abs=1e-9)
     assert by_kind["temd"]["coverage_used"] == pytest.approx(1.0, abs=1e-9)
 
@@ -328,27 +350,33 @@ def test_weight_that_is_not_finite_positive_exits_2(workdir, capsys, command, we
 
 
 def test_evaluate_partial_coverage_flagged_not_fatal(tmp_path, capsys):
-    from swnopt.nets import StochasticWorkflowNet
-
-    from .fixtures import silent_livelock_wn
-
-    swn = StochasticWorkflowNet(
-        silent_livelock_wn(),
-        {"t_in": 1.0, "t_go": 9.0, "t_back": 1.0, "emit": 1.0, "t_out": 1.0},
-    )
-    net = tmp_path / "livelock.pnml"
-    net.write_bytes(write_pnml(swn))
+    net = tmp_path / "loops.pnml"
+    net.write_bytes(write_pnml(two_loop_swn(1.0)))
     log = tmp_path / "log.csv"
-    log.write_text("case,activity\nc1,a\n")
+    log.write_text(write_csv(two_loop_log()), encoding="utf-8")
     code = main([
         "evaluate", "--net", str(net), "--log", str(log),
-        "--measures", "temd", "--coverage", "0.8",
+        "--measures", "temd", "--coverage", "0.8", "--max-trace-len", "2",
     ])
     assert code == 0
     captured = capsys.readouterr()
     reports = json.loads(captured.out)
     assert reports[0]["coverage_used"] < 0.8
-    assert "partial" in captured.err
+    assert "partial" in captured.err and "--max-trace-len" in captured.err
+
+
+def test_evaluate_temd_escape_below_float_precision_exits_3(tmp_path, capsys):
+    from swnopt.nets import StochasticWorkflowNet
+
+    from .fixtures import silent_livelock_wn
+
+    weights = {"t_in": 1.0, "t_go": 1e18, "t_back": 1.0, "emit": 1.0, "t_out": 1.0}
+    net = tmp_path / "livelock.pnml"
+    net.write_bytes(write_pnml(StochasticWorkflowNet(silent_livelock_wn(), weights)))
+    log = tmp_path / "log.csv"
+    log.write_text("case,activity\nc1,a\n")
+    assert main(["evaluate", "--net", str(net), "--log", str(log), "--measures", "temd"]) == 3
+    assert "trace probability solve" in capsys.readouterr().err
 
 
 def test_evaluate_unknown_measure_exits_2(workdir, capsys):
@@ -545,3 +573,29 @@ def test_csv_column_flags(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["traces"][0]["trace"] == ["a", "b", "c"]
     assert payload["traces"][0]["prob"] == pytest.approx(0.15)
+
+
+def test_free_unfolding_output_is_independent_of_the_hash_seed(tmp_path):
+    swn = random_swn(random.Random(2), max_transitions=10, allow_loops=True)
+    net, log = str(tmp_path / "net.pnml"), str(tmp_path / "log.csv")
+    Path(net).write_bytes(write_pnml(swn))
+    language = unfold_language(annotate(build_rg(swn.wn), swn.weight_vector()), coverage=0.5)
+    traces = sorted(t for t in language.probs if t)  # CSV cannot hold an empty case
+    Path(log).write_text(write_csv(EventLog({t: i + 1 for i, t in enumerate(traces)})), encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    program = "import sys; from swnopt.cli import main; sys.exit(main(sys.argv[1:]))"
+    for command in (
+        ["unfold", "--net", net, "--coverage", "0.9"],
+        ["evaluate", "--net", net, "--log", log, "--measures", "temd", "--coverage", "0.9"],
+    ):
+        outputs = set()
+        for hash_seed in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-c", program, *command],
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed),
+                capture_output=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.add(done.stdout)
+        assert len(outputs) == 1, command

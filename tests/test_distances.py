@@ -29,7 +29,7 @@ from .fixtures import (
     parallel_choice_language,
     parallel_choice_swn,
     parallel_choice_wn,
-    silent_livelock_wn,
+    two_loop_swn,
 )
 from .oracles import all_traces, levenshtein_matrix, levenshtein_recursive, mincost_transport_units, random_feasible_plan
 from .treegen import random_swn
@@ -480,10 +480,20 @@ def test_transport_model_built_once_per_cost_matrix(monkeypatch):
 
 def test_temd_zero_for_exact_weights():
     target = parallel_choice_language()
-    report = truncated_emd(target, unfold_language(_annotated(parallel_choice_swn()), coverage=0.8))
+    arg = _annotated(parallel_choice_swn())
+    report = truncated_emd(target, unfold_language(arg, coverage=1.0))
     assert report.kind == "temd"
     assert report.value == pytest.approx(0.0, abs=1e-9)
     assert report.coverage_used == pytest.approx(1.0, abs=1e-9)  # finite language fully unfolds
+    # coverage 0.8 stops after 0.35 + 0.35 + 0.15: the language {acb, adb, abc} at 7/17, 7/17, 3/17
+    report = truncated_emd(target, unfold_language(arg, coverage=0.8))
+    assert report.coverage_used == pytest.approx(0.85, abs=1e-12)
+    rows = tuple(target.probs)
+    cost = [[normalized_levenshtein(r, c) for c in rows] for r in rows]
+    model = {("a", "c", "b"): 140, ("a", "d", "b"): 140, ("a", "b", "c"): 60, ("a", "b", "d"): 0}
+    oracle = mincost_transport_units([round(target.probs[t] * 340) for t in rows], [model[t] for t in rows], cost)
+    assert report.value == pytest.approx(oracle / 340, abs=1e-9)
+    assert report.value == pytest.approx(0.0911764706, abs=1e-9)  # frozen from the oracle
 
 
 def test_temd_uniform_weights_matches_oracle():
@@ -505,14 +515,8 @@ def test_temd_uniform_weights_matches_oracle():
 
 
 def test_temd_partial_coverage_is_flagged_not_fatal():
-    from swnopt.nets import StochasticWorkflowNet
-
-    swn = StochasticWorkflowNet(
-        silent_livelock_wn(),
-        {"t_in": 1.0, "t_go": 9.0, "t_back": 1.0, "emit": 1.0, "t_out": 1.0},
-    )
-    target = StochasticLanguage({("a",): 1.0})
-    report = truncated_emd(target, unfold_language(_annotated(swn), coverage=0.8))
+    target = StochasticLanguage({("A", "A"): 1.0})
+    report = truncated_emd(target, unfold_language(_annotated(two_loop_swn(1.0)), coverage=0.8, max_trace_len=2))
     assert report.coverage_used < 0.8
     assert 0.0 <= report.value <= 1.0
 

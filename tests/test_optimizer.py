@@ -400,6 +400,7 @@ def splu_calls(monkeypatch):
 
 def test_lh_value_and_gradient_factors_once(splu_calls):
     spec = _treegen_lh_spec(1)
+    splu_calls.clear()  # the helper's free unfolding factors its silent closure
     evaluate_objective(spec, np.ones(spec.n_weights), gradient=True)
     assert len(splu_calls) == 1
 

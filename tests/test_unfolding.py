@@ -200,19 +200,46 @@ def test_unfold_language_prefix_cap(monkeypatch):
         unfold_language(_annotated(two_loop_swn(1.0)), coverage=1.0)
 
 
-def test_unfold_language_level_cutoff_moves_mass_to_residual():
-    # the derived level budget cuts the silent livelock's slow escape
-    cut = unfold_language(_annotated(_livelock(9.0)), coverage=1.0)
-    assert cut.residual > 0.1
-    assert cut.probs[("a",)] < 1.0
-    assert sum(cut.probs.values()) + cut.residual == pytest.approx(1.0, abs=1e-12)
+@pytest.mark.parametrize("w_go", [1.0, 9.0, 200.0])
+def test_unfold_language_is_exact_through_silent_cycles(w_go):
+    # the silent closure is factored, so no budget cuts the livelock's slow escape
+    lang = unfold_language(_annotated(_livelock(w_go)), coverage=1.0)
+    assert lang.probs[("a",)] == pytest.approx(1.0, abs=1e-12)
+    assert lang.residual <= 1e-12
 
 
-def test_unfold_language_prob_floor_moves_mass_to_residual(monkeypatch):
-    monkeypatch.setattr(unfolding, "PROB_FLOOR", 0.5)
-    lang = unfold_language(_annotated(parallel_choice_swn()), coverage=1.0)
+def test_unfold_language_escape_below_float_precision_raises():
+    with pytest.raises(IllConditioned):
+        unfold_language(_annotated(_livelock(1e18)), coverage=0.9)
+
+
+def test_unfold_language_unreachable_sink_is_empty():
+    # one of p, q is marked, never both, so the join to the sink never fires
+    net = LabeledPetriNet(
+        places=("source", "p", "q", "sink"),
+        transitions=("t_p", "t_q", "join"),
+        flow={
+            ("source", "t_p"): 1, ("t_p", "p"): 1,
+            ("source", "t_q"): 1, ("t_q", "q"): 1,
+            ("p", "join"): 1, ("q", "join"): 1, ("join", "sink"): 1,
+        },
+        labeling={"t_p": "a", "t_q": "b", "join": "c"},
+        initial_marking={"source": 1},
+    )
+    swn = StochasticWorkflowNet(validate_workflow(net, "source", "sink"), {"t_p": 1.0, "t_q": 1.0, "join": 1.0})
+    lang = unfold_language(_annotated(swn), coverage=0.9)
     assert lang.probs == {}
-    assert lang.residual == pytest.approx(1.0)
+    assert lang.residual == 1.0
+
+
+@pytest.mark.parametrize("coverage", [0.3, 0.5, 0.9, 0.99])
+def test_unfold_language_stops_at_the_first_trace_reaching_coverage(coverage):
+    loopy = [random_swn(random.Random(seed), max_transitions=10, allow_loops=True) for seed in (0, 2)]
+    for swn in [two_loop_swn(1.0), _livelock(9.0)] + loopy:
+        lang = unfold_language(_annotated(swn), coverage=coverage)
+        masses = list(lang.probs.values())
+        assert sum(masses) >= coverage
+        assert sum(masses[:-1]) < coverage
 
 
 def test_unfold_language_complete_reference():
