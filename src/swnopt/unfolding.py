@@ -12,7 +12,7 @@
   Stochastic Conformance Checking* (BPM Forum 2019).  The targets' trie is
   as large as the targets themselves, so it has no size cap.
 * :func:`unfold_language` unfolds the free language best first, most
-  probable prefix next, until the collected mass reaches a coverage
+  probable trace next, until the collected mass reaches a coverage
   threshold.  The silent moves are factored once per call, so silent cycles
   are exact here too.  A caller sets two budgets, the coverage and an
   optional trace length.  The language may be infinite, so the code caps
@@ -212,15 +212,16 @@ def trace_probabilities(arg: AnnotatedRG, traces: Iterable[Trace]) -> dict[Trace
 
 
 def unfold_language(arg: AnnotatedRG, coverage: float = 1.0, max_trace_len: int | None = None) -> StochasticLanguage:
-    """The free language, most probable prefix first, up to the first trace
+    """The free language, most probable trace first, up to the first trace
     that brings the collected mass to ``coverage``.
 
     The silent moves are factored once: ``S = (I - P_τ)^{-1}`` over the
     markings that can reach the sink.  A prefix u holds one row vector
     ``v_u`` of expected visits, ``v_ua = (v_u P_a) S``, and P(u) is ``v_u``
-    at the sink, exact through silent cycles.  Prefixes come off a heap by
-    their mass ``sum(v_u)``, ties broken by creation order with labels in
-    sorted order.  No prefix grows past ``max_trace_len``.  The result has
+    at the sink, exact through silent cycles.  A heap holds each prefix by
+    the mass entering it, ``sum(v_u P_a)``, which bounds every completion,
+    and each complete trace by P(u), ties by the prefix's creation order,
+    labels sorted.  No prefix grows past ``max_trace_len``.  The result has
     ``residual = 1 - sum(probs)``; a residual above ``1 - coverage`` means
     the length budget or markings that cannot reach the sink cut it.  Past
     :data:`MAX_PREFIXES` prefixes it raises :class:`PrefixCapExceeded`, on a
@@ -250,17 +251,20 @@ def unfold_language(arg: AnnotatedRG, coverage: float = 1.0, max_trace_len: int 
 
     sink = rg.sink_state
     start = closure.solve(np.eye(1, n, rg.initial)[0])
-    heap = [(-start.sum(), 0, (), start)]
+    heap = [(-1.0, 0, (), start)]
     created = 1
     collected: dict[Trace, float] = {}
     mass = 0.0
     while heap:
-        _, _, trace, visits = heapq.heappop(heap)
-        if visits[sink] != 0.0:
-            collected[trace] = float(visits[sink])
-            mass += collected[trace]
+        key, made, trace, visits = heapq.heappop(heap)
+        if visits is None:
+            collected[trace] = -key
+            mass -= key
             if not mass < coverage:  # NaN stops the walk too; the range check rejects it
                 break
+            continue
+        if visits[sink] != 0.0:
+            heapq.heappush(heap, (-float(visits[sink]), made, trace, None))
         if len(trace) == max_trace_len:
             continue
         before = (steps @ visits).reshape(len(labels), n)
@@ -269,8 +273,9 @@ def unfold_language(arg: AnnotatedRG, coverage: float = 1.0, max_trace_len: int 
             continue
         if created + len(fired) > MAX_PREFIXES:
             raise PrefixCapExceeded(f"over {MAX_PREFIXES} trace prefixes; lower --coverage or set --max-trace-len")
-        for k, after in zip(fired, closure.solve(before[fired].T).T):  # one solve, a column per label
-            heapq.heappush(heap, (-after.sum(), created, trace + (labels[k],), after))
+        inflow = before[fired].sum(axis=1).tolist()
+        for k, mass_in, after in zip(fired, inflow, closure.solve(before[fired].T).T):  # one solve, a column per label
+            heapq.heappush(heap, (-mass_in, created, trace + (labels[k],), after))
             created += 1
 
     clipped = _unit_interval(np.fromiter(collected.values(), np.float64, len(collected))).tolist()

@@ -242,6 +242,43 @@ def test_unfold_language_stops_at_the_first_trace_reaching_coverage(coverage):
         assert sum(masses[:-1]) < coverage
 
 
+def _choice_with_silent_tails(tail_x: int, tail_y: int) -> StochasticWorkflowNet:
+    # source -x(3)-> tail_x silent steps -> sink, source -y(7)-> tail_y silent steps -> sink
+    places, flow, labeling, weights = ["source", "sink"], {}, {}, {}
+    for label, weight, tail in (("x", 3.0, tail_x), ("y", 7.0, tail_y)):
+        chain = ["source"] + [f"{label}{i}" for i in range(tail)] + ["sink"]
+        places += chain[1:-1]
+        for i, (src, dst) in enumerate(zip(chain, chain[1:])):
+            t = label if i == 0 else f"tau_{label}{i}"
+            flow |= {(src, t): 1, (t, dst): 1}
+            labeling[t] = label if i == 0 else None
+            weights[t] = weight if i == 0 else 1.0
+    net = LabeledPetriNet(
+        places=tuple(places), transitions=tuple(labeling), flow=flow, labeling=labeling,
+        initial_marking={"source": 1},
+    )
+    return StochasticWorkflowNet(validate_workflow(net, "source", "sink"), weights)
+
+
+@pytest.mark.parametrize("tail_x, tail_y", [(6, 1), (1, 6), (1, 1)])
+def test_unfold_language_collects_the_most_probable_trace_first(tail_x, tail_y):
+    # the silent steps after a label add visits, not probability: <y> (0.7) always comes before <x> (0.3)
+    arg = _annotated(_choice_with_silent_tails(tail_x, tail_y))
+    assert unfold_language(arg, coverage=0.5).probs == pytest.approx({("y",): 0.7}, abs=1e-15)
+    assert list(unfold_language(arg, coverage=1.0).probs) == [("y",), ("x",)]
+
+
+def test_unfold_language_truncation_is_the_head_of_the_full_ranking():
+    loopy = [random_swn(random.Random(seed), max_transitions=10, allow_loops=True) for seed in (0, 2)]
+    for swn in [two_loop_swn(1.0), _livelock(9.0)] + loopy:
+        arg = _annotated(swn)
+        ranking = list(unfold_language(arg, coverage=0.95).probs.items())
+        assert [p for _, p in ranking] == sorted((p for _, p in ranking), reverse=True)
+        for coverage in (0.3, 0.5, 0.9):
+            head = list(unfold_language(arg, coverage=coverage).probs.items())
+            assert head == ranking[: len(head)]
+
+
 def test_unfold_language_complete_reference():
     lang = unfold_language(_annotated(parallel_choice_swn()), coverage=1.0)
     assert lang.residual == 0.0
