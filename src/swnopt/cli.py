@@ -25,10 +25,10 @@ from .distances import (
     truncated_emd,
 )
 from .errors import ComputationError, InputError
-from .logs import EmptyLog, EventLog, StochasticLanguage, log_language, parse_csv, parse_xes, write_csv, write_xes
-from .nets import StochasticWorkflowNet, validate_workflow
+from .logs import EventLog, StochasticLanguage, log_language, parse_csv, parse_xes, write_csv, write_xes
+from .nets import NotAWorkflowNet, StochasticWorkflowNet, WorkflowNet, open_ends, validate_workflow
 from .optimize import MEASURES, METHODS, ObjectiveSpec, OptimizerConfig, optimized_weights
-from .pnml import parse_pnml, write_pnml
+from .pnml import ParsedPnml, parse_pnml, write_pnml
 from .semantics import DEFAULT_STATE_CAP, annotate, build_rg
 from .unfolding import PrefixProduct, trace_probabilities, unfold_language
 
@@ -95,24 +95,24 @@ def _load_log(path: str, args: argparse.Namespace) -> EventLog:
     raise InputError(f"unsupported log format {suffix!r} (expected .xes or .csv)")
 
 
-def _load_workflow(path: str, args: argparse.Namespace):
+def _load_workflow(path: str) -> tuple[WorkflowNet, ParsedPnml]:
+    """The workflow net of a PNML file, whose source and sink are its only open ends."""
     parsed = parse_pnml(Path(path).read_bytes())
-    source = parsed.source if args.source is None else args.source
-    sink = parsed.sink if args.sink is None else args.sink
-    if source is None or sink is None:
-        raise InputError(
-            "cannot infer source/sink places (no unique arc-free candidates); pass --source/--sink"
+    if parsed.source is None or parsed.sink is None:
+        no_in, no_out = open_ends(parsed.net)
+        raise NotAWorkflowNet(
+            "a workflow net has one source place (no incoming arcs) and one sink place (no outgoing arcs); "
+            f"places without incoming arcs: {no_in}, without outgoing arcs: {no_out}"
         )
-    wn = validate_workflow(parsed.net, source, sink)
-    return wn, parsed
+    return validate_workflow(parsed.net, parsed.source, parsed.sink), parsed
 
 
-def _write_json(path: str, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
+def _load_weighted(path: str) -> tuple[WorkflowNet, list[float]]:
+    """The workflow net and its weights in transition order; warns if the file carries none."""
+    wn, parsed = _load_workflow(path)
+    if parsed.unweighted:
+        print("warning: net carries no weights; using 1.0 everywhere", file=sys.stderr)
+    return wn, [parsed.weights[t] for t in wn.net.transitions]
 
 
 def _load_target(args: argparse.Namespace, wn) -> StochasticLanguage:
@@ -123,15 +123,15 @@ def _load_target(args: argparse.Namespace, wn) -> StochasticLanguage:
     return log_language(log)
 
 
-def _trace_entries(probs: dict, key: str) -> list[dict]:
-    return [{"trace": list(t), key: p} for t, p in sorted(probs.items())]
+def _trace_entries(probs: dict) -> list[dict]:
+    return [{"trace": list(t), "prob": p} for t, p in sorted(probs.items())]
 
 
 def cmd_discover(args: argparse.Namespace) -> int:
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    wn, _ = _load_workflow(_require(args, "net"), args)
+    wn, _ = _load_workflow(_require(args, "net"))
     target = _load_target(args, wn)
     timings["parse"] = time.perf_counter() - t0
 
@@ -166,7 +166,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
     }
     if args.timings:
         report["timings"] = timings
-    _write_json(args.out_report, report)
+    Path(args.out_report).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
     print(
         "phase seconds: "
@@ -187,12 +187,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if unknown or not measures:
         raise InputError(f"--measures {args.measures!r}: choose one or more of {', '.join(EVALUATE_MEASURES)}")
 
-    wn, parsed = _load_workflow(_require(args, "net"), args)
-    if parsed.unweighted:
-        print("warning: net carries no weights; using 1.0 everywhere", file=sys.stderr)
+    wn, weights = _load_weighted(_require(args, "net"))
     target = _load_target(args, wn)
     rg = build_rg(wn, state_cap=args.state_cap)
-    annotated = annotate(rg, [parsed.weights[t] for t in wn.net.transitions])
+    annotated = annotate(rg, weights)
     probs = PrefixProduct(rg, target.probs).probabilities(annotated) if set(MEASURES) & set(measures) else None
 
     reports: list[DistanceReport] = []
@@ -211,26 +209,23 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 )
             reports.append(report)
 
-    _print_json([r.to_json_dict() for r in reports])
+    print(json.dumps([r.to_json_dict() for r in reports], indent=2))
     return 0
 
 
 def cmd_unfold(args: argparse.Namespace) -> int:
-    wn, parsed = _load_workflow(_require(args, "net"), args)
-    rg = build_rg(wn, state_cap=args.state_cap)
-    annotated = annotate(rg, [parsed.weights[t] for t in wn.net.transitions])
-
-    if args.log:
-        log = _load_log(args.log, args)
-        if not log.entries:
-            raise EmptyLog("target log has no traces")
-        probs = trace_probabilities(annotated, log.support())
-        _print_json({"traces": _trace_entries(probs, "prob")})
-    elif args.coverage is not None:
-        lang = unfold_language(annotated, args.coverage, args.max_trace_len)
-        _print_json({"traces": _trace_entries(lang.probs, "prob"), "residual": lang.residual})
-    else:
+    if not args.log and args.coverage is None:
         raise InputError("unfold needs --log (restrict to its traces) or --coverage")
+    wn, weights = _load_weighted(_require(args, "net"))
+    target = _load_target(args, wn) if args.log else None
+    annotated = annotate(build_rg(wn, state_cap=args.state_cap), weights)
+
+    if target is not None:
+        payload = {"traces": _trace_entries(trace_probabilities(annotated, target.probs))}
+    else:
+        lang = unfold_language(annotated, args.coverage, args.max_trace_len)
+        payload = {"traces": _trace_entries(lang.probs), "residual": lang.residual}
+    print(json.dumps(payload, indent=2))
     return 0
 
 
@@ -240,7 +235,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
     log_kinds = ("xes", "csv")
 
     if src_kind == "pnml" and dst_kind == "pnml":
-        wn, parsed = _load_workflow(args.input, args)
+        wn, parsed = _load_workflow(args.input)
         Path(args.output).write_bytes(write_pnml(StochasticWorkflowNet(wn, parsed.weights)))
     elif src_kind in log_kinds and dst_kind in log_kinds:
         log = _load_log(args.input, args)
@@ -261,11 +256,6 @@ def _add_subcommand(sub, name: str, handler, summary: str) -> argparse.ArgumentP
     return p
 
 
-def _add_place_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--source", help="source place id (default: inferred)")
-    p.add_argument("--sink", help="sink place id (default: inferred)")
-
-
 def _add_csv_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--case-col", default="case", help="CSV case id column (default: %(default)s)")
     p.add_argument("--activity-col", default="activity", help="CSV activity column (default: %(default)s)")
@@ -274,7 +264,6 @@ def _add_csv_options(p: argparse.ArgumentParser) -> None:
 
 def _add_net_and_log_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--net", help="PNML net file")
-    _add_place_options(p)
     p.add_argument(
         "--state-cap", type=int, default=DEFAULT_STATE_CAP, help="reachability state cap (default: %(default)s)"
     )
@@ -322,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_subcommand(sub, "convert", cmd_convert, "round-trip nets and logs between formats")
     p.add_argument("--in", dest="input", required=True, help="input file (.pnml, .xes, .csv)")
     p.add_argument("--out", dest="output", required=True, help="output file (.pnml, .xes, .csv)")
-    _add_place_options(p)
     _add_csv_options(p)
 
     return parser

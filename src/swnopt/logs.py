@@ -167,22 +167,27 @@ def parse_csv(data: bytes | str, case_col: str, activity_col: str, time_col: str
     Within a case, events are ordered by timestamp when ``time_col`` is given
     (ties broken by row order, stable), else by row order.  The header row is
     required.  Bytes are decoded as UTF-8, skipping a leading byte-order mark.
+    A row that lacks one of these columns, or one the ``csv`` module refuses
+    (a field over its size limit), raises :class:`InputError` naming its line.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8-sig")
     reader = csv.DictReader(io.StringIO(data))
-    if reader.fieldnames is None:
-        raise MissingColumn("empty CSV: no header row")
-    for col in (case_col, activity_col) + ((time_col,) if time_col else ()):
-        if col not in reader.fieldnames:
-            raise MissingColumn(f"column {col!r} not in header {reader.fieldnames}")
-
+    columns = (case_col, activity_col) + ((time_col,) if time_col else ())
     cases: dict[str, list[tuple[datetime | None, str]]] = {}
-    for row in reader:
-        case = row[case_col]
-        activity = row[activity_col]
-        ts = _parse_timestamp(row[time_col]) if time_col else None
-        cases.setdefault(case, []).append((ts, activity))
+    try:
+        if reader.fieldnames is None:
+            raise MissingColumn("empty CSV: no header row")
+        for col in columns:
+            if col not in reader.fieldnames:
+                raise MissingColumn(f"column {col!r} not in header {reader.fieldnames}")
+        for row in reader:
+            if any(row[col] is None for col in columns):
+                raise MissingColumn(f"CSV line {reader.line_num}: too few fields for the header")
+            ts = _parse_timestamp(row[time_col]) if time_col else None
+            cases.setdefault(row[case_col], []).append((ts, row[activity_col]))
+    except csv.Error as exc:  # e.g. a field over the size limit; reader.line_num counts good rows only
+        raise InputError(f"CSV line {reader.reader.line_num}: {exc}") from exc
 
     entries: dict[Trace, int] = {}
     for events in cases.values():

@@ -16,6 +16,7 @@ same factor leaves all arc probabilities unchanged.
 
 from collections import deque
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -121,7 +122,7 @@ class ReachabilityGraph:
     sink_state: int | None
     out_arcs: tuple[tuple[tuple[int, int, str | None], ...], ...]
 
-    initial: int = 0
+    initial: ClassVar[int] = 0
 
     @property
     def n_states(self) -> int:

@@ -272,7 +272,10 @@ def unfold_language(arg: AnnotatedRG, coverage: float = 1.0, max_trace_len: int 
         if not fired:
             continue
         if created + len(fired) > MAX_PREFIXES:
-            raise PrefixCapExceeded(f"over {MAX_PREFIXES} trace prefixes; lower --coverage or set --max-trace-len")
+            raise PrefixCapExceeded(
+                f"over {MAX_PREFIXES} trace prefixes after {len(collected)} traces of mass {mass}; "
+                "lower --coverage to at most that mass or set --max-trace-len"
+            )
         inflow = before[fired].sum(axis=1).tolist()
         for k, mass_in, after in zip(fired, inflow, closure.solve(before[fired].T).T):  # one solve, a column per label
             heapq.heappush(heap, (-mass_in, created, trace + (labels[k],), after))

@@ -132,6 +132,17 @@ def test_discover_non_workflow_net_exits_2(workdir, capsys):
     assert "source" in capsys.readouterr().err
 
 
+def test_net_with_two_open_ends_on_each_side_exits_2_naming_them(workdir, capsys):
+    text = (workdir / "net.pnml").read_text()
+    extra = '<place id="idle"><name><text>idle</text></name></place>'
+    extra += '<place id="done"><name><text>done</text></name></place><arc id="extra" source="tau" target="done"/>'
+    (workdir / "open.pnml").write_text(text.replace("</page>", extra + "</page>"))
+    assert main(["unfold", "--net", str(workdir / "open.pnml"), "--coverage", "1.0"]) == 2
+    err = capsys.readouterr().err
+    assert "places without incoming arcs: ['source', 'idle']" in err
+    assert "without outgoing arcs: ['sink', 'idle', 'done']" in err
+
+
 def test_discover_unproducible_log_exits_3(workdir):
     (workdir / "alien.csv").write_text("case,activity\nc1,zz\nc1,qq\n")
     args = _discover_args(workdir, measure="remd", n0="3", seed="0")
@@ -193,6 +204,31 @@ def test_discover_rejects_removed_flags(workdir, capsys, flag, value):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["--source", "--sink"])
+@pytest.mark.parametrize("command", ["discover", "evaluate", "unfold", "convert"])
+def test_place_flags_are_removed(workdir, capsys, command, flag):
+    # a workflow net's source and sink are its only open ends, so they are never given
+    args = {
+        "discover": _discover_args(workdir),
+        "evaluate": ["evaluate", "--net", str(workdir / "net.pnml"), "--log", str(workdir / "log.csv")],
+        "unfold": ["unfold", "--net", str(workdir / "net.pnml"), "--coverage", "1.0"],
+        "convert": ["convert", "--in", str(workdir / "net.pnml"), "--out", str(workdir / "copy.pnml")],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(args + [flag, "source"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_config_key_source_is_ignored(workdir, capsys):
+    cfg = workdir / "run.cfg"
+    cfg.write_text("source = nowhere\nsink = nowhere\n")
+    assert main(["unfold", "--net", str(workdir / "net.pnml"), "--coverage", "1.0", "--config", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert "warning: config key 'source' is not an option of unfold; ignored" in captured.err
+    assert len(json.loads(captured.out)["traces"]) == 4
+
+
 def test_every_flag_is_read(workdir, capsys, monkeypatch):
     read = set()
 
@@ -204,10 +240,17 @@ def test_every_flag_is_read(workdir, capsys, monkeypatch):
 
     monkeypatch.setattr(argparse, "Namespace", RecordingNamespace)
     net, log = str(workdir / "net.pnml"), str(workdir / "log.csv")
+    timed = workdir / "timed.csv"
+    timed.write_text(write_csv(parallel_choice_log(), "id", "act", "when"), encoding="utf-8")
+    columns = ["--case-col", "id", "--activity-col", "act", "--time-col", "when"]
     runs = {
         "discover": [_discover_args(workdir, measure="lh", seed="1", n0="2", max_iter="2")],
         "evaluate": [["evaluate", "--net", net, "--log", log]],
         "unfold": [["unfold", "--net", net, "--log", log], ["unfold", "--net", net, "--coverage", "1.0"]],
+        "convert": [
+            ["convert", "--in", str(timed), "--out", str(workdir / "copy.csv")] + columns,
+            ["convert", "--in", net, "--out", str(workdir / "copy.pnml")],
+        ],
     }
     (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     for command, argvs in runs.items():
@@ -449,6 +492,26 @@ def test_unfold_restricted_to_log(tmp_path, capsys):
     assert set(payload) == {"traces"}
 
 
+def test_unfold_warns_as_evaluate_does(workdir, capsys, tmp_path):
+    import re
+
+    plain = tmp_path / "plain.pnml"
+    plain.write_text(re.sub(r"<toolspecific.*?</toolspecific>", "", (workdir / "net.pnml").read_text(), flags=re.S))
+    log = tmp_path / "extra.csv"
+    log.write_text(write_csv(parallel_choice_log()) + "extra,zz\n", encoding="utf-8")
+    assert main(["unfold", "--net", str(plain), "--log", str(log)]) == 0
+    err = capsys.readouterr().err
+    assert "warning: net carries no weights; using 1.0 everywhere" in err
+    assert "warning: log activities absent from the net: ['zz']" in err
+
+
+def test_unfold_reads_its_log_before_building_the_graph(workdir, capsys):
+    # a state cap of 1 fails the graph (exit 3), so exit 2 shows the log was read first
+    args = ["unfold", "--net", str(workdir / "net.pnml"), "--log", str(workdir / "nope.csv"), "--state-cap", "1"]
+    assert main(args) == 2
+    assert "nope.csv" in capsys.readouterr().err
+
+
 def test_unfold_coverage_dump(workdir, capsys):
     code = main(["unfold", "--net", str(workdir / "net.pnml"), "--coverage", "1.0"])
     assert code == 0
@@ -533,6 +596,24 @@ def test_convert_to_xes_refuses_an_activity_xml_cannot_hold(tmp_path, capsys):
     source.write_text("case,activity\nc1,a\x01b\nc2,ok\n", encoding="utf-8")
     assert main(["convert", "--in", str(source), "--out", str(out)]) == 2
     assert "'a\\x01b'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "rows,columns",
+    [
+        ("id,act,when\nc1,a,2021-01-01T00:00:00\nc2,b\n", ["--time-col", "when"]),
+        ("id,act\nc1,a\nc2\n", []),
+        ("id,act\nc1,a\nc2," + "x" * 200_000 + "\n", []),
+    ],
+    ids=["short-row-timed", "short-row", "field-over-csv-limit"],
+)
+def test_convert_unreadable_csv_row_exits_2_naming_the_line(tmp_path, capsys, rows, columns):
+    source, out = tmp_path / "in.csv", tmp_path / "out.xes"
+    source.write_text(rows, encoding="utf-8")
+    columns += ["--case-col", "id", "--activity-col", "act"]
+    assert main(["convert", "--in", str(source), "--out", str(out)] + columns) == 2
+    assert "CSV line 3" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -194,6 +194,35 @@ def test_parse_csv_missing_column():
         parse_csv("", "case", "activity")
 
 
+@pytest.mark.parametrize(
+    "data,time_col",
+    [
+        ("case,activity,ts\nc1,A,2021-01-01\nc2,B\n", "ts"),  # once crashed in the timestamp parser
+        ("case,activity\nc1,A\nc2\n", None),  # once left None as an activity
+    ],
+    ids=["timed", "untimed"],
+)
+def test_parse_csv_short_row_names_its_line(data, time_col):
+    with pytest.raises(MissingColumn, match="CSV line 3: too few fields"):
+        parse_csv(data, "case", "activity", time_col)
+
+
+def test_parse_csv_short_row_may_lack_a_column_it_does_not_read():
+    data = "case,activity,resource\nc1,A\nc1,B,r1\n"
+    assert parse_csv(data, "case", "activity").entries == {("A", "B"): 1}
+
+
+HUGE = "x" * 200_000  # the csv module's default field limit is 131072 characters
+
+
+@pytest.mark.parametrize(
+    "data,line", [(f"case,activity,{HUGE}\nc1,A,x\n", 1), (f"case,activity\nc1,A\nc2,{HUGE}\n", 3)], ids=["header", "row"]
+)
+def test_parse_csv_field_over_the_csv_size_limit_names_its_line(data, line):
+    with pytest.raises(InputError, match=f"CSV line {line}: field larger than field limit"):
+        parse_csv(data, "case", "activity")
+
+
 def test_parse_csv_bytes_with_byte_order_mark():
     data = "case,activity\nc1,A\nc1,B\n".encode("utf-8-sig")
     assert parse_csv(data, "case", "activity").entries == {("A", "B"): 1}

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -196,8 +197,30 @@ def test_product_built_once_per_spec(monkeypatch):
 
 def test_unfold_language_prefix_cap(monkeypatch):
     monkeypatch.setattr(unfolding, "MAX_PREFIXES", 50)
-    with pytest.raises(PrefixCapExceeded, match="--coverage.*--max-trace-len"):
-        unfold_language(_annotated(two_loop_swn(1.0)), coverage=1.0)
+    arg = _annotated(two_loop_swn(1.0))
+    with pytest.raises(PrefixCapExceeded, match="--coverage.*--max-trace-len") as exc:
+        unfold_language(arg, coverage=1.0)
+    # the message states what was collected, so that mass is a coverage the cap allows
+    found = re.search(r"after (\d+) traces of mass (\S+);", str(exc.value))
+    lang = unfold_language(arg, coverage=float(found.group(2)))
+    assert len(lang.probs) == int(found.group(1))
+    assert lang.mass() == float(found.group(2))
+
+
+@pytest.mark.parametrize("w_loop,n_traces", [(1.0, 54), (0.1, 16), (1e-3, 6)])
+def test_unfold_language_one_visible_loop_reaches_full_coverage(w_loop, n_traces):
+    # a b* c: the language is infinite, but the float sum of P(a b^k c) reaches 1.0
+    net = LabeledPetriNet(
+        places=("source", "p", "sink"),
+        transitions=("a", "b", "c"),
+        flow={("source", "a"): 1, ("a", "p"): 1, ("p", "b"): 1, ("b", "p"): 1, ("p", "c"): 1, ("c", "sink"): 1},
+        labeling={"a": "a", "b": "b", "c": "c"},
+        initial_marking={"source": 1},
+    )
+    swn = StochasticWorkflowNet(validate_workflow(net, "source", "sink"), {"a": 1.0, "b": w_loop, "c": 1.0})
+    lang = unfold_language(_annotated(swn), coverage=1.0)
+    assert lang.residual == 0.0
+    assert sorted(map(len, lang.probs)) == list(range(2, n_traces + 2))
 
 
 @pytest.mark.parametrize("w_go", [1.0, 9.0, 200.0])
