@@ -101,8 +101,7 @@ def _load_workflow(path: str) -> tuple[WorkflowNet, ParsedPnml]:
     if parsed.source is None or parsed.sink is None:
         no_in, no_out = open_ends(parsed.net)
         raise NotAWorkflowNet(
-            "a workflow net has one source place (no incoming arcs) and one sink place (no outgoing arcs); "
-            f"places without incoming arcs: {no_in}, without outgoing arcs: {no_out}"
+            f"one source and one sink needed; places without incoming arcs: {no_in}, without outgoing arcs: {no_out}"
         )
     return validate_workflow(parsed.net, parsed.source, parsed.sink), parsed
 
@@ -115,6 +114,10 @@ def _load_weighted(path: str) -> tuple[WorkflowNet, list[float]]:
     return wn, [parsed.weights[t] for t in wn.net.transitions]
 
 
+def _print_json(payload) -> None:
+    print(json.dumps(payload, indent=2))
+
+
 def _load_target(args: argparse.Namespace, wn) -> StochasticLanguage:
     log = _load_log(_require(args, "log"), args)
     missing = set(log.alphabet) - set(wn.net.alphabet)
@@ -123,8 +126,8 @@ def _load_target(args: argparse.Namespace, wn) -> StochasticLanguage:
     return log_language(log)
 
 
-def _trace_entries(probs: dict) -> list[dict]:
-    return [{"trace": list(t), "prob": p} for t, p in sorted(probs.items())]
+def _trace_entries(probs: dict, key: str) -> list[dict]:
+    return [{"trace": list(t), key: p} for t, p in sorted(probs.items())]
 
 
 def cmd_discover(args: argparse.Namespace) -> int:
@@ -209,7 +212,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 )
             reports.append(report)
 
-    print(json.dumps([r.to_json_dict() for r in reports], indent=2))
+    _print_json([r.to_json_dict() for r in reports])
     return 0
 
 
@@ -221,11 +224,11 @@ def cmd_unfold(args: argparse.Namespace) -> int:
     annotated = annotate(build_rg(wn, state_cap=args.state_cap), weights)
 
     if target is not None:
-        payload = {"traces": _trace_entries(trace_probabilities(annotated, target.probs))}
+        payload = {"traces": _trace_entries(trace_probabilities(annotated, target.probs), "prob")}
     else:
         lang = unfold_language(annotated, args.coverage, args.max_trace_len)
-        payload = {"traces": _trace_entries(lang.probs), "residual": lang.residual}
-    print(json.dumps(payload, indent=2))
+        payload = {"traces": _trace_entries(lang.probs, "prob"), "residual": lang.residual}
+    _print_json(payload)
     return 0
 
 

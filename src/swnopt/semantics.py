@@ -16,7 +16,6 @@ same factor leaves all arc probabilities unchanged.
 
 from collections import deque
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -122,7 +121,7 @@ class ReachabilityGraph:
     sink_state: int | None
     out_arcs: tuple[tuple[tuple[int, int, str | None], ...], ...]
 
-    initial: ClassVar[int] = 0
+    initial = 0  # unannotated, so a class constant and not a field: build_rg numbers the initial marking 0
 
     @property
     def n_states(self) -> int:

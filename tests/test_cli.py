@@ -611,7 +611,7 @@ def test_convert_to_xes_refuses_an_activity_xml_cannot_hold(tmp_path, capsys):
 def test_convert_unreadable_csv_row_exits_2_naming_the_line(tmp_path, capsys, rows, columns):
     source, out = tmp_path / "in.csv", tmp_path / "out.xes"
     source.write_text(rows, encoding="utf-8")
-    columns += ["--case-col", "id", "--activity-col", "act"]
+    columns = columns + ["--case-col", "id", "--activity-col", "act"]
     assert main(["convert", "--in", str(source), "--out", str(out)] + columns) == 2
     assert "CSV line 3" in capsys.readouterr().err
     assert not out.exists()
