@@ -3,8 +3,10 @@
 Subcommands: ``discover`` (estimate weights for a net from a log),
 ``evaluate`` (measure divergences of a weighted net against a log),
 ``unfold`` (dump trace probabilities or the truncated language as JSON) and
-``convert`` (format round trips).  Options may come from a ``key=value``
-config file (``--config``); explicit flags win.
+``convert`` (format round trips).  An argument ``@file`` stands for the
+file's lines, one argument per line as it would be typed (``--n0=2``,
+``--timings``).  argparse expands it before it parses anything, so a value
+from a file is checked as a typed one and the last value given wins.
 
 Exit codes: 0 success, 2 input parse/validation failure, 3 computation
 failure.  All outputs are deterministic given the inputs and the seed; wall
@@ -38,53 +40,6 @@ REPORT_SCHEMA = "stochastic-weights/report/1"
 EVALUATE_MEASURES = MEASURES + ("temd",)
 
 
-def _read_config(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise InputError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
-    return values
-
-
-def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace, argv) -> argparse.Namespace:
-    """Parse again with the config file's values as the subcommand's defaults,
-    so argparse converts and checks them like flags and a flag still wins.
-    A key may be spelled as its dest or its flag.  A key that is no option
-    of the subcommand is warned about, not rejected: one file may serve
-    several subcommands."""
-    options = set(vars(args)) - {"command", "handler", "parser", "config"}
-    actions = {action.dest: action for action in args.parser._actions}
-    defaults = {}
-    for key, value in _read_config(args.config).items():
-        dest = key.replace("-", "_")
-        if dest not in options:
-            print(f"warning: config key {key!r} is not an option of {args.command}; ignored", file=sys.stderr)
-            continue
-        boolean = isinstance(getattr(args, dest), bool)
-        allowed = ("1", "true", "yes", "0", "false", "no") if boolean else actions[dest].choices
-        value = value.lower() if boolean else value
-        if allowed is not None and value not in allowed:
-            # argparse checks choices on the command line only, not on defaults
-            message = f"invalid choice: {value!r} in {args.config} (choose from {', '.join(map(repr, allowed))})"
-            args.parser.error(str(argparse.ArgumentError(actions[dest], message)))
-        defaults[dest] = value in ("1", "true", "yes") if boolean else value
-    args.parser.set_defaults(**defaults)
-    return parser.parse_args(argv)
-
-
-def _require(args: argparse.Namespace, dest: str) -> str:
-    """An option that the config file may supply, so argparse cannot require it."""
-    value = getattr(args, dest)
-    if value is None:
-        raise InputError(f"missing required option --{dest.replace('_', '-')}")
-    return value
-
-
 def _load_log(path: str, args: argparse.Namespace) -> EventLog:
     suffix = Path(path).suffix.lower()
     data = Path(path).read_bytes()
@@ -106,12 +61,12 @@ def _load_workflow(path: str) -> tuple[WorkflowNet, ParsedPnml]:
     return validate_workflow(parsed.net, parsed.source, parsed.sink), parsed
 
 
-def _load_weighted(path: str) -> tuple[WorkflowNet, list[float]]:
-    """The workflow net and its weights in transition order; warns if the file carries none."""
+def _load_weighted(path: str) -> StochasticWorkflowNet:
+    """The weighted workflow net of a PNML file; warns if the file carries no weights."""
     wn, parsed = _load_workflow(path)
     if parsed.unweighted:
         print("warning: net carries no weights; using 1.0 everywhere", file=sys.stderr)
-    return wn, [parsed.weights[t] for t in wn.net.transitions]
+    return StochasticWorkflowNet(wn, parsed.weights)
 
 
 def _print_json(payload) -> None:
@@ -119,7 +74,7 @@ def _print_json(payload) -> None:
 
 
 def _load_target(args: argparse.Namespace, wn) -> StochasticLanguage:
-    log = _load_log(_require(args, "log"), args)
+    log = _load_log(args.log, args)
     missing = set(log.alphabet) - set(wn.net.alphabet)
     if missing:
         print(f"warning: log activities absent from the net: {sorted(missing)}", file=sys.stderr)
@@ -131,10 +86,11 @@ def _trace_entries(probs: dict, key: str) -> list[dict]:
 
 
 def cmd_discover(args: argparse.Namespace) -> int:
+    config = OptimizerConfig(n0=args.n0, max_iter=args.max_iter, delta=args.delta, seed=args.seed)
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    wn, _ = _load_workflow(_require(args, "net"))
+    wn, _ = _load_workflow(args.net)
     target = _load_target(args, wn)
     timings["parse"] = time.perf_counter() - t0
 
@@ -143,7 +99,6 @@ def cmd_discover(args: argparse.Namespace) -> int:
     timings["rg"] = time.perf_counter() - t0
 
     spec = ObjectiveSpec(measure=args.measure, rg=rg, target=target)
-    config = OptimizerConfig(n0=args.n0, max_iter=args.max_iter, delta=args.delta, seed=args.seed)
 
     t0 = time.perf_counter()
     result = optimized_weights(spec, config)
@@ -190,10 +145,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if unknown or not measures:
         raise InputError(f"--measures {args.measures!r}: choose one or more of {', '.join(EVALUATE_MEASURES)}")
 
-    wn, weights = _load_weighted(_require(args, "net"))
-    target = _load_target(args, wn)
-    rg = build_rg(wn, state_cap=args.state_cap)
-    annotated = annotate(rg, weights)
+    swn = _load_weighted(args.net)
+    target = _load_target(args, swn.wn)
+    rg = build_rg(swn.wn, state_cap=args.state_cap)
+    annotated = annotate(rg, swn.weight_vector())
     probs = PrefixProduct(rg, target.probs).probabilities(annotated) if set(MEASURES) & set(measures) else None
 
     reports: list[DistanceReport] = []
@@ -219,9 +174,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_unfold(args: argparse.Namespace) -> int:
     if not args.log and args.coverage is None:
         raise InputError("unfold needs --log (restrict to its traces) or --coverage")
-    wn, weights = _load_weighted(_require(args, "net"))
-    target = _load_target(args, wn) if args.log else None
-    annotated = annotate(build_rg(wn, state_cap=args.state_cap), weights)
+    swn = _load_weighted(args.net)
+    target = _load_target(args, swn.wn) if args.log else None
+    annotated = annotate(build_rg(swn.wn, state_cap=args.state_cap), swn.weight_vector())
 
     if target is not None:
         payload = {"traces": _trace_entries(trace_probabilities(annotated, target.probs), "prob")}
@@ -238,8 +193,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
     log_kinds = ("xes", "csv")
 
     if src_kind == "pnml" and dst_kind == "pnml":
-        wn, parsed = _load_workflow(args.input)
-        Path(args.output).write_bytes(write_pnml(StochasticWorkflowNet(wn, parsed.weights)))
+        Path(args.output).write_bytes(write_pnml(_load_weighted(args.input)))
     elif src_kind in log_kinds and dst_kind in log_kinds:
         log = _load_log(args.input, args)
         if dst_kind == "xes":
@@ -251,26 +205,18 @@ def cmd_convert(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_subcommand(sub, name: str, handler, summary: str) -> argparse.ArgumentParser:
-    p = sub.add_parser(name, help=summary)
-    p.add_argument("--config", help="key=value config file; flags win")
-    # _apply_config sets the file's values as this parser's defaults
-    p.set_defaults(handler=handler, parser=p)
-    return p
-
-
 def _add_csv_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--case-col", default="case", help="CSV case id column (default: %(default)s)")
     p.add_argument("--activity-col", default="activity", help="CSV activity column (default: %(default)s)")
     p.add_argument("--time-col", help="CSV ISO-8601 timestamp column (default: row order)")
 
 
-def _add_net_and_log_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--net", help="PNML net file")
+def _add_net_and_log_options(p: argparse.ArgumentParser, log_required: bool) -> None:
+    p.add_argument("--net", required=True, help="PNML net file")
     p.add_argument(
         "--state-cap", type=int, default=DEFAULT_STATE_CAP, help="reachability state cap (default: %(default)s)"
     )
-    p.add_argument("--log", help="event log file (.xes or .csv)")
+    p.add_argument("--log", required=log_required, help="event log file (.xes or .csv)")
     _add_csv_options(p)
 
 
@@ -284,11 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swnopt",
         description="Estimate and evaluate stochastic workflow-net transition weights.",
+        fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="command")
 
-    p = _add_subcommand(sub, "discover", cmd_discover, "optimize transition weights against an event log")
-    _add_net_and_log_options(p)
+    p = sub.add_parser("discover", help="optimize transition weights against an event log")
+    p.set_defaults(handler=cmd_discover)
+    _add_net_and_log_options(p, log_required=True)
     p.add_argument("--measure", choices=MEASURES, default="lh", help="objective (default: %(default)s)")
     p.add_argument("--n0", type=int, default=OptimizerConfig.n0, help="number of random starts (default: %(default)s)")
     p.add_argument("--max-iter", type=int, default=OptimizerConfig.max_iter, help="iteration cap (default: %(default)s)")
@@ -301,17 +249,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-convergence", default="convergence.csv", help="convergence CSV output (default: %(default)s)")
     p.add_argument("--timings", action="store_true", help="include wall times in the report JSON")
 
-    p = _add_subcommand(sub, "evaluate", cmd_evaluate, "measure divergences of a weighted net against a log")
-    _add_net_and_log_options(p)
+    p = sub.add_parser("evaluate", help="measure divergences of a weighted net against a log")
+    p.set_defaults(handler=cmd_evaluate)
+    _add_net_and_log_options(p, log_required=True)
     _add_unfold_options(p, 0.8)
     measures = ",".join(EVALUATE_MEASURES)
     p.add_argument("--measures", default=measures, help=f"comma list from {measures} (default: %(default)s)")
 
-    p = _add_subcommand(sub, "unfold", cmd_unfold, "dump trace probabilities or the truncated language")
-    _add_net_and_log_options(p)
+    p = sub.add_parser("unfold", help="dump trace probabilities or the truncated language")
+    p.set_defaults(handler=cmd_unfold)
+    _add_net_and_log_options(p, log_required=False)
     _add_unfold_options(p, None)
 
-    p = _add_subcommand(sub, "convert", cmd_convert, "round-trip nets and logs between formats")
+    p = sub.add_parser("convert", help="round-trip nets and logs between formats")
+    p.set_defaults(handler=cmd_convert)
     p.add_argument("--in", dest="input", required=True, help="input file (.pnml, .xes, .csv)")
     p.add_argument("--out", dest="output", required=True, help="output file (.pnml, .xes, .csv)")
     _add_csv_options(p)
@@ -326,8 +277,6 @@ def main(argv=None) -> int:
         parser.print_help(file=sys.stderr)
         return 2
     try:
-        if args.config:
-            args = _apply_config(parser, args, argv)
         return args.handler(args)
     except (InputError, FileNotFoundError, IsADirectoryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -132,8 +132,8 @@ class OptimizerConfig:
             raise ValueError("n0 must be >= 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not (self.delta > 0.0):
-            raise ValueError("delta must be positive")
+        if not (0.0 < self.delta < math.inf):
+            raise ValueError("delta must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ a tool-specific block inside each ``<transition>``::
     </toolspecific>
 
 where the weight text is a base-10 float with up to 17 significant digits,
-finite and positive.
+finite and positive.  Either every transition carries a weight block or
+none does.
 A transition whose name is empty, absent, or the literal "tau"/"τ" is
 silent, so :func:`write_pnml` refuses a visible label spelled that way.
 Unknown elements are ignored with a :class:`PnmlWarning` (real-world PNML
@@ -55,7 +56,7 @@ class ParsedPnml:
     ``source``/``sink`` are inferred structurally (unique place without
     incoming/outgoing arcs) and are ``None`` when the inference is ambiguous.
     ``unweighted`` is True when no transition carried a weight block; all
-    weights then default to 1.0.
+    weights are then 1.0.  A net where only some do is :class:`MalformedPnml`.
     """
 
     net: LabeledPetriNet
@@ -208,6 +209,9 @@ def parse_pnml(data: bytes | str) -> ParsedPnml:
         raise MalformedPnml(str(exc)) from exc
 
     unweighted = not weights
+    unstated = [t for t in transitions if t not in weights]
+    if weights and unstated:
+        raise MalformedPnml(f"transitions without a weight block in a weighted net: {unstated}")
     full_weights = {t: weights.get(t, 1.0) for t in transitions}
 
     no_in, no_out = open_ends(net)

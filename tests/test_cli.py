@@ -167,30 +167,30 @@ def test_lh_on_a_log_the_net_cannot_produce_exits_3(workdir, capsys, command):
     assert not (workdir / "report.json").exists()
 
 
-def test_discover_config_file_flags_win(workdir, capsys):
-    cfg = workdir / "run.cfg"
-    cfg.write_text(
-        "# experiment bundle\n"
-        f"net = {workdir / 'net.pnml'}\n"
-        f"log = {workdir / 'log.csv'}\n"
-        "measure = lh\n"
-        "seed = 9\n"
-        "n0 = 2\n"
-        "max_iter = 4\n"
-        "method = derivative-free\n"
-        f"out_net = {workdir / 'weighted.pnml'}\n"
-        f"out_report = {workdir / 'report.json'}\n"
-        f"out_convergence = {workdir / 'convergence.csv'}\n"
+def _option_file(path, *lines):
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return f"@{path}"
+
+
+def test_discover_option_file_flags_win(workdir, capsys):
+    args = _option_file(
+        workdir / "run.args",
+        f"--net={workdir / 'net.pnml'}",
+        "--log", str(workdir / "log.csv"),
+        "--measure=lh",
+        "--seed=9",
+        "--n0=2",
+        "--max-iter=4",
+        f"--out-net={workdir / 'weighted.pnml'}",
+        f"--out-report={workdir / 'report.json'}",
+        f"--out-convergence={workdir / 'convergence.csv'}",
     )
-    code = main(["discover", "--config", str(cfg), "--seed", "11"])
-    assert code == 0
+    assert main(["discover", args, "--seed", "11"]) == 0
     report = json.loads((workdir / "report.json").read_text())
-    assert report["seed"] == 11  # flag beats config
-    assert report["n0"] == 2  # config beats default
+    assert report["seed"] == 11  # the last value given wins
+    assert report["n0"] == 2 and report["max_iter"] == 4  # the file's value beats the default
     assert report["measure"] == "lh"
-    assert report["method"] == "L-BFGS-B"  # the measure picks the method
-    err = capsys.readouterr().err
-    assert "warning: config key 'method' is not an option of discover; ignored" in err
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(
@@ -220,13 +220,54 @@ def test_place_flags_are_removed(workdir, capsys, command, flag):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-def test_config_key_source_is_ignored(workdir, capsys):
-    cfg = workdir / "run.cfg"
-    cfg.write_text("source = nowhere\nsink = nowhere\n")
-    assert main(["unfold", "--net", str(workdir / "net.pnml"), "--coverage", "1.0", "--config", str(cfg)]) == 0
-    captured = capsys.readouterr()
-    assert "warning: config key 'source' is not an option of unfold; ignored" in captured.err
-    assert len(json.loads(captured.out)["traces"]) == 4
+def test_option_file_option_the_subcommand_lacks_exits_2(workdir, capsys):
+    args = _option_file(workdir / "run.args", "--coverage=1.0", "--measure=lh")
+    with pytest.raises(SystemExit) as exc:
+        main(["unfold", "--net", str(workdir / "net.pnml"), args])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --measure=lh" in capsys.readouterr().err
+
+
+def test_missing_option_file_exits_2(workdir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["discover", f"@{workdir / 'nope.args'}"])
+    assert exc.value.code == 2
+    assert "nope.args" in capsys.readouterr().err
+
+
+def test_option_files_compose(workdir, capsys):
+    common = _option_file(workdir / "common.args", f"--net={workdir / 'net.pnml'}", f"--log={workdir / 'log.csv'}")
+    discover = _option_file(workdir / "discover.args", *_discover_args(workdir, seed="1", n0="2", max_iter="2")[5:])
+    assert main(["discover", common, discover]) == 0
+    report = json.loads((workdir / "report.json").read_text())
+    assert (report["n0"], report["max_iter"]) == (2, 2)
+    assert main(["evaluate", common, "--measures", "lh"]) == 0
+    assert [r["kind"] for r in json.loads(capsys.readouterr().out)] == ["lh"]
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["discover", "--log", "log.csv"], "--net"),
+        (["discover", "--net", "net.pnml"], "--log"),
+        (["evaluate", "--log", "log.csv"], "--net"),
+        (["evaluate", "--net", "net.pnml"], "--log"),
+        (["unfold", "--coverage", "1.0"], "--net"),
+    ],
+)
+def test_missing_required_input_exits_2_naming_it(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"the following arguments are required: {flag}" in capsys.readouterr().err
+
+
+def test_discover_checks_its_optimizer_options_before_reading_inputs(workdir, capsys):
+    args = _discover_args(workdir, n0="0")
+    args[2] = str(workdir / "nope.pnml")
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "n0 must be >= 1" in err and "nope.pnml" not in err
 
 
 def test_every_flag_is_read(workdir, capsys, monkeypatch):
@@ -257,76 +298,49 @@ def test_every_flag_is_read(workdir, capsys, monkeypatch):
         read.clear()
         for argv in argvs:
             assert main(argv) == 0
-        dests = {a.dest for a in subparsers.choices[command]._actions} - {"help", "config"}
+        dests = {a.dest for a in subparsers.choices[command]._actions} - {"help"}
         assert dests - read == set(), command
     capsys.readouterr()
 
 
 def test_parser_defaults_come_from_the_library():
     parser = cli.build_parser()
-    discover = parser.parse_args(["discover"])
+    inputs = ["--net", "net.pnml", "--log", "log.csv"]
+    discover = parser.parse_args(["discover"] + inputs)
     config = OptimizerConfig()
     assert (discover.n0, discover.max_iter, discover.delta, discover.seed) == (
         config.n0, config.max_iter, config.delta, config.seed
     )
     for command in ("discover", "evaluate", "unfold"):
-        assert parser.parse_args([command]).state_cap == DEFAULT_STATE_CAP
+        assert parser.parse_args([command] + inputs).state_cap == DEFAULT_STATE_CAP
 
 
-@pytest.mark.parametrize("value,listed", [("false", False), ("yes", True), ("No", False), ("TRUE", True)])
-def test_config_boolean_timings(workdir, capsys, value, listed):
-    cfg = workdir / "run.cfg"
-    cfg.write_text(f"timings = {value}\nn0 = 2\nmax_iter = 2\n")
-    assert main(_discover_args(workdir, seed="1") + ["--config", str(cfg)]) == 0
+def test_option_file_timings_line_turns_timings_on(workdir, capsys):
+    args = _option_file(workdir / "run.args", "--timings", "--n0=2", "--max-iter=2")
+    assert main(_discover_args(workdir, seed="1") + [args]) == 0
     report = json.loads((workdir / "report.json").read_text())
-    assert ("timings" in report) == listed
+    assert set(report["timings"]) == {"parse", "rg", "optimize"}
     capsys.readouterr()
 
 
-def test_config_bad_value_exits_2_naming_the_option(workdir, capsys):
-    cfg = workdir / "run.cfg"
-    cfg.write_text("n0 = many\n")
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("--n0=many", "argument --n0: invalid int value: 'many'"),
+        ("--timings=ture", "argument --timings: ignored explicit argument 'ture'"),
+        ("--measure=bogus", "argument --measure: invalid choice: 'bogus'"),
+    ],
+    ids=["int", "boolean", "choice"],
+)
+def test_option_file_bad_value_exits_2_before_reading_inputs(workdir, capsys, line, message):
+    args = _discover_args(workdir) + [_option_file(workdir / "run.args", line)]
+    args[2] = str(workdir / "nope.pnml")  # never read: parsing fails first
     with pytest.raises(SystemExit) as exc:
-        main(_discover_args(workdir) + ["--config", str(cfg)])
-    assert exc.value.code == 2
-    assert "n0" in capsys.readouterr().err
-    # a misspelt boolean is refused, not read as false
-    cfg.write_text("timings = ture\n")
-    with pytest.raises(SystemExit) as exc:
-        main(_discover_args(workdir) + ["--config", str(cfg)])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "--timings" in err and "'ture'" in err
-    assert not (workdir / "report.json").exists()
-
-
-def test_config_value_outside_choices_exits_2_naming_the_option(workdir, capsys):
-    cfg = workdir / "run.cfg"
-    cfg.write_text("measure = bogus\n")
-    with pytest.raises(SystemExit) as exc:
-        main(_discover_args(workdir) + ["--config", str(cfg)])
+        main(args)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "--measure" in err and "'bogus'" in err
+    assert message in err and "nope.pnml" not in err
     assert not (workdir / "report.json").exists()
-
-
-def test_config_keys_may_be_spelled_like_flags(workdir, capsys):
-    cfg = workdir / "run.cfg"
-    cfg.write_text("max-iter = 3\nn0 = 2\n")
-    assert main(_discover_args(workdir, seed="1") + ["--config", str(cfg)]) == 0
-    report = json.loads((workdir / "report.json").read_text())
-    assert report["max_iter"] == 3
-    assert "not an option" not in capsys.readouterr().err
-
-
-def test_config_file_with_byte_order_mark(workdir, capsys):
-    cfg = workdir / "run.cfg"
-    cfg.write_text("max_iter = 3\nn0 = 2\n", encoding="utf-8-sig")
-    assert main(_discover_args(workdir, seed="1") + ["--config", str(cfg)]) == 0
-    report = json.loads((workdir / "report.json").read_text())
-    assert report["max_iter"] == 3
-    assert "not an option" not in capsys.readouterr().err
 
 
 def test_evaluate_reference_weighted_net(workdir, capsys):
@@ -379,6 +393,23 @@ def test_evaluate_unweighted_net_uses_unit_weights(workdir, capsys, tmp_path):
     assert "no weights" in captured.err
     reports = json.loads(captured.out)
     assert reports[0]["value"] == pytest.approx(UNIFORM_BRANCH_LH, abs=1e-9)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "unfold", "convert"])
+def test_partly_weighted_net_exits_2_naming_the_transitions_without_weight(workdir, capsys, command):
+    text = (workdir / "net.pnml").read_text()
+    start = text.index("<toolspecific", text.index('<transition id="b"'))
+    end = text.index("</toolspecific>", start) + len("</toolspecific>")
+    partial = workdir / "partial.pnml"
+    partial.write_text(text[:start] + text[end:])
+    argv = {
+        "evaluate": ["evaluate", "--net", str(partial), "--log", str(workdir / "log.csv")],
+        "unfold": ["unfold", "--net", str(partial), "--coverage", "1.0"],
+        "convert": ["convert", "--in", str(partial), "--out", str(workdir / "copy.pnml")],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "['b']" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("weight", ["inf", "1e400", "nan", "0"])
@@ -623,6 +654,15 @@ def test_convert_pnml_canonicalization_idempotent(workdir, tmp_path):
     assert main(["convert", "--in", str(workdir / "net.pnml"), "--out", str(one)]) == 0
     assert main(["convert", "--in", str(one), "--out", str(two)]) == 0
     assert one.read_bytes() == two.read_bytes()
+
+
+def test_convert_unweighted_net_warns_once(workdir, capsys, tmp_path):
+    import re
+
+    plain = tmp_path / "plain.pnml"
+    plain.write_text(re.sub(r"<toolspecific.*?</toolspecific>", "", (workdir / "net.pnml").read_text(), flags=re.S))
+    assert main(["convert", "--in", str(plain), "--out", str(tmp_path / "copy.pnml")]) == 0
+    assert capsys.readouterr().err == "warning: net carries no weights; using 1.0 everywhere\n"
 
 
 def test_convert_unsupported_pair_exits_2(workdir, capsys):

@@ -59,6 +59,8 @@ def test_optimizer_config_validation():
         OptimizerConfig(max_iter=0)
     with pytest.raises(ValueError):
         OptimizerConfig(delta=0.0)
+    with pytest.raises(ValueError):
+        OptimizerConfig(delta=math.inf)
 
 
 def test_evaluate_objective_reference_values():

@@ -113,6 +113,15 @@ def test_foreign_toolspecific_blocks_are_quiet_noise():
     assert parsed.unweighted
 
 
+def test_net_with_some_transitions_unweighted_is_malformed():
+    # parallel-choice with b's weight block removed: b must not read as 1.0
+    text = write_pnml(parallel_choice_swn()).decode()
+    start = text.index("<toolspecific", text.index('<transition id="b"'))
+    end = text.index("</toolspecific>", start) + len("</toolspecific>")
+    with pytest.raises(MalformedPnml, match=r"\['b'\]"):
+        parse_pnml(text[:start] + text[end:])
+
+
 def test_roundtrip_parallel_choice_weights_exact():
     swn = parallel_choice_swn()
     parsed = parse_pnml(write_pnml(swn))
