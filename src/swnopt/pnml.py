@@ -208,16 +208,14 @@ def parse_pnml(data: bytes | str) -> ParsedPnml:
     except ValueError as exc:
         raise MalformedPnml(str(exc)) from exc
 
-    unweighted = not weights
     unstated = [t for t in transitions if t not in weights]
     if weights and unstated:
         raise MalformedPnml(f"transitions without a weight block in a weighted net: {unstated}")
-    full_weights = {t: weights.get(t, 1.0) for t in transitions}
 
     no_in, no_out = open_ends(net)
     source = no_in[0] if len(no_in) == 1 else None
     sink = no_out[0] if len(no_out) == 1 else None
-    return ParsedPnml(net, source, sink, full_weights, unweighted)
+    return ParsedPnml(net, source, sink, weights or {t: 1.0 for t in transitions}, not weights)
 
 
 def write_pnml(swn: StochasticWorkflowNet) -> bytes:

@@ -232,7 +232,8 @@ def test_missing_option_file_exits_2(workdir, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["discover", f"@{workdir / 'nope.args'}"])
     assert exc.value.code == 2
-    assert "nope.args" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "No such file or directory" in err and "nope.args" in err
 
 
 def test_option_files_compose(workdir, capsys):
@@ -254,6 +255,7 @@ def test_option_files_compose(workdir, capsys):
         (["evaluate", "--net", "net.pnml"], "--log"),
         (["unfold", "--coverage", "1.0"], "--net"),
     ],
+    ids=["discover-net", "discover-log", "evaluate-net", "evaluate-log", "unfold-net"],
 )
 def test_missing_required_input_exits_2_naming_it(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
