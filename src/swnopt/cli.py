@@ -144,6 +144,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     unknown = [m for m in measures if m not in EVALUATE_MEASURES]
     if unknown or not measures:
         raise InputError(f"--measures {args.measures!r}: choose one or more of {', '.join(EVALUATE_MEASURES)}")
+    if args.max_trace_len is not None and "temd" not in measures:
+        raise InputError("--max-trace-len bounds only the tEMD unfolding, and --measures lacks temd")
 
     swn = _load_weighted(args.net)
     target = _load_target(args, swn.wn)
@@ -174,6 +176,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_unfold(args: argparse.Namespace) -> int:
     if not args.log and args.coverage is None:
         raise InputError("unfold needs --log (restrict to its traces) or --coverage")
+    if args.log:
+        for flag, value in (("--coverage", args.coverage), ("--max-trace-len", args.max_trace_len)):
+            if value is not None:
+                raise InputError(f"unfold --log gives exact probabilities; {flag} bounds only unfold without --log")
     swn = _load_weighted(args.net)
     target = _load_target(args, swn.wn) if args.log else None
     annotated = annotate(build_rg(swn.wn, state_cap=args.state_cap), swn.weight_vector())

@@ -5,6 +5,10 @@ trace.  An event log is a multiset of traces; its stochastic language assigns
 each trace its relative frequency.  A stochastic language may be *defective*:
 probabilities summing to less than one, with the gap tracked in ``residual``
 (this is how truncated model languages are represented downstream).
+
+XES is read in one streaming expat pass that keeps only the variant counts,
+so its memory grows with the distinct traces, not with the events; it is
+written through ElementTree.
 """
 
 import csv
@@ -13,6 +17,7 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from xml.parsers import expat
 
 from .errors import InputError
 
@@ -109,41 +114,75 @@ def log_language(log: EventLog) -> StochasticLanguage:
     return StochasticLanguage({t: f / total for t, f in log.entries.items()}, 0.0)
 
 
-def _local(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
-
-
 def parse_xes(data: bytes | str) -> EventLog:
-    """Parse the XES element subset log/trace/event with string attributes.
+    """Count the traces of an XES document in one streaming pass.
 
-    The activity of an event is its "concept:name" string attribute; event
-    order is document order.  Lifecycle and other attributes are ignored.
+    Only the path log/trace/event is followed: the root must be ``log``, a
+    trace is a direct child of the root and an event a direct child of a
+    trace; any other element is skipped with its subtree.  The activity of
+    an event is the value of its first direct ``string`` child keyed
+    ``concept:name``; event order is document order.  Namespaced tags match
+    by local name.  No tree is built: memory grows with the distinct
+    variants, not with the events.  A document that is not well-formed
+    raises :class:`MalformedXes` even where an event lacks its name.
     """
-    try:
-        root = ET.fromstring(data)
-    except ET.ParseError as exc:
-        raise MalformedXes(f"not well-formed XML: {exc}") from exc
-    if _local(root.tag) != "log":
-        raise MalformedXes(f"expected <log> root, got <{_local(root.tag)}>")
-
     entries: dict[Trace, int] = {}
-    for trace_elem in root:
-        if _local(trace_elem.tag) != "trace":
-            continue
-        events: list[str] = []
-        for event_elem in trace_elem:
-            if _local(event_elem.tag) != "event":
-                continue
-            activity = None
-            for attr in event_elem:
-                if _local(attr.tag) == "string" and attr.get("key") == "concept:name":
-                    activity = attr.get("value")
-                    break
-            if activity is None:
-                raise MissingConceptName("event without a concept:name string attribute")
-            events.append(activity)
-        trace = tuple(events)
-        entries[trace] = entries.get(trace, 0) + 1
+    events: list[str] = []
+    activity: str | None = None
+    named = False
+    depth = 0  # open elements
+    followed = 0  # how many of them, outermost first, lie on the path log/trace/event
+    error: InputError | None = None  # raised once the whole document has parsed
+
+    def start(name, attrs):
+        nonlocal depth, followed, events, activity, named, error
+        if depth == followed:
+            local = name.rpartition("}")[2]
+            if followed == 3:
+                if local == "string" and not named and attrs.get("key") == "concept:name":
+                    named = True
+                    activity = attrs.get("value")
+            elif local == ("log", "trace", "event")[followed]:
+                followed += 1
+                if followed == 2:
+                    events = []
+                elif followed == 3:
+                    named, activity = False, None
+            elif depth == 0:
+                error = MalformedXes(f"expected <log> root, got <{local}>")
+        depth += 1
+
+    def end(name):
+        nonlocal depth, followed, error
+        depth -= 1
+        if depth < followed:
+            followed = depth
+            if depth == 2:
+                if activity is None:
+                    error = error or MissingConceptName("event without a concept:name string attribute")
+                events.append(activity)
+            elif depth == 1:
+                trace = tuple(events)
+                entries[trace] = entries.get(trace, 0) + 1
+
+    def undefined(name):  # expat skips an entity that no DTD it read declares; refuse it instead
+        line, column = parser.CurrentLineNumber, parser.CurrentColumnNumber
+        raise expat.ExpatError(f"undefined entity &{name};: line {line}, column {column}")
+
+    parser = expat.ParserCreate(namespace_separator="}")
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.SkippedEntityHandler = lambda name, is_parameter: is_parameter or undefined(name)
+    # expat's context string ends with the entity's name, after a form feed
+    parser.ExternalEntityRefHandler = lambda context, *ids: undefined(context.rpartition("\f")[2])
+    try:
+        parser.Parse(data, True)
+    except expat.ExpatError as exc:
+        raise MalformedXes(f"not well-formed XML: {exc}") from exc
+    finally:
+        parser = None  # undefined() refers to it: free the parser now, not at the next collection
+    if error is not None:
+        raise error
     return EventLog(entries)
 
 

@@ -585,6 +585,26 @@ def test_unfold_needs_log_or_coverage(workdir, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag,value", [("--coverage", "0.1"), ("--max-trace-len", "1")])
+def test_unfold_with_log_refuses_the_free_unfolding_budgets(workdir, capsys, flag, value):
+    # once both were ignored, and every log trace was printed
+    args = ["unfold", "--net", str(workdir / "net.pnml"), "--log", str(workdir / "log.csv"), flag, value]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag} bounds only unfold without --log" in captured.err
+
+
+def test_evaluate_refuses_max_trace_len_without_temd(workdir, capsys):
+    args = ["evaluate", "--net", str(workdir / "net.pnml"), "--log", str(workdir / "log.csv"), "--max-trace-len", "3"]
+    assert main(args + ["--measures", "lh,remd"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-trace-len bounds only the tEMD unfolding" in captured.err
+    assert main(args + ["--measures", "lh,temd"]) == 0
+    assert [r["kind"] for r in json.loads(capsys.readouterr().out)] == ["lh", "temd"]
+
+
 def test_convert_csv_xes_roundtrip(workdir, tmp_path):
     xes = tmp_path / "log.xes"
     back = tmp_path / "back.csv"

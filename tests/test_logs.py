@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -159,6 +160,44 @@ def test_parse_xes_first_concept_name_of_an_event_wins():
     assert parse_xes(doc).entries == {("first", "direct"): 1}
 
 
+def test_parse_xes_follows_only_the_path_log_trace_event():
+    doc = XES.format(
+        traces=f'<extension name="x">{_xes_trace("nested")}</extension>'
+        '<event><string key="concept:name" value="loose"/></event>' + _xes_trace("A")
+    )
+    assert parse_xes(doc).entries == {("A",): 1}
+
+
+def test_parse_xes_concept_name_only_inside_a_list_is_missing():
+    doc = XES.format(traces='<trace><event><list key="l"><string key="concept:name" value="N"/></list></event></trace>')
+    with pytest.raises(MissingConceptName):
+        parse_xes(doc)
+
+
+def test_parse_xes_malformed_document_wins_over_a_missing_concept_name():
+    # the nameless event comes first, but the document never closes
+    with pytest.raises(MalformedXes, match="no element found"):
+        parse_xes('<log><trace><event><string key="x" value="A"/></event></trace><trace>')
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '<!DOCTYPE log SYSTEM "log.dtd"><log><trace>&undeclared;</trace></log>',
+        '<!DOCTYPE log [<!ENTITY ext SYSTEM "ext.xml">]><log><trace>&ext;</trace></log>',
+    ],
+    ids=["declared-nowhere", "external"],
+)
+def test_parse_xes_refuses_an_entity_it_cannot_expand(doc):
+    with pytest.raises(MalformedXes, match="undefined entity"):
+        parse_xes(doc)
+
+
+def test_parse_xes_counts_variants_in_first_occurrence_order():
+    log = parse_xes(XES.format(traces=_xes_trace("B") + _xes_trace("A") + _xes_trace("B") + "<trace/>"))
+    assert list(log.entries.items()) == [(("B",), 2), (("A",), 1), ((), 1)]
+
+
 def test_parse_csv_row_order_grouping():
     data = "case,activity\nc1,A\nc1,B\nc2,A\n"
     log = parse_csv(data, "case", "activity")
@@ -274,6 +313,35 @@ def test_write_csv_refuses_empty_cases():
 def test_xes_roundtrip_preserves_frequencies():
     log = parallel_choice_log()
     assert parse_xes(write_xes(log)).entries == log.entries
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_xes_roundtrip_keeps_variant_order(seed):
+    rng = random.Random(seed)
+    alphabet = ["a", "b", "café", "δ", "名前", "&<>\"'", " spaced out "]
+    entries = {(): rng.randint(1, 5)}
+    while len(entries) < 50:
+        entries.setdefault(tuple(rng.choices(alphabet, k=rng.randint(1, 8))), rng.randint(1, 5))
+    items = list(entries.items())
+    rng.shuffle(items)
+    log = EventLog(dict(items))
+    assert list(parse_xes(write_xes(log)).entries.items()) == items
+
+
+def test_parse_xes_memory_grows_with_variants_not_events():
+    rng = random.Random(5)
+    variants = {tuple(rng.choices("abcdefgh", k=12)) for _ in range(40)}
+    log = EventLog({trace: 5000 // len(variants) + (i < 5000 % len(variants)) for i, trace in enumerate(variants)})
+    assert (log.total, sum(len(t) * f for t, f in log.entries.items())) == (5000, 60000)
+    data = write_xes(log)
+    tracemalloc.start()
+    try:
+        parsed = parse_xes(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed == log
+    assert peak < 8 * 2**20  # a tree of this document's events would take 62 MiB
 
 
 @pytest.mark.parametrize("bad", ["\x00", "\x01", "\x1f", "\ud800", "\ufffe"])
