@@ -28,7 +28,7 @@ from .distances import (
 )
 from .errors import ComputationError, InputError
 from .logs import EventLog, StochasticLanguage, log_language, parse_csv, parse_xes, write_csv, write_xes
-from .nets import NotAWorkflowNet, StochasticWorkflowNet, WorkflowNet, open_ends, validate_workflow
+from .nets import StochasticWorkflowNet, WorkflowNet, validate_workflow
 from .optimize import MEASURES, METHODS, ObjectiveSpec, OptimizerConfig, optimized_weights
 from .pnml import ParsedPnml, parse_pnml, write_pnml
 from .semantics import DEFAULT_STATE_CAP, annotate, build_rg
@@ -38,6 +38,9 @@ REPORT_SCHEMA = "stochastic-weights/report/1"
 
 #: What `evaluate --measures` may list: the optimization measures, plus tEMD.
 EVALUATE_MEASURES = MEASURES + ("temd",)
+
+#: The mass `evaluate` unfolds for tEMD when --coverage is not given.
+_TEMD_COVERAGE = 0.8
 
 
 def _load_log(path: str, args: argparse.Namespace) -> EventLog:
@@ -53,11 +56,6 @@ def _load_log(path: str, args: argparse.Namespace) -> EventLog:
 def _load_workflow(path: str) -> tuple[WorkflowNet, ParsedPnml]:
     """The workflow net of a PNML file, whose source and sink are its only open ends."""
     parsed = parse_pnml(Path(path).read_bytes())
-    if parsed.source is None or parsed.sink is None:
-        no_in, no_out = open_ends(parsed.net)
-        raise NotAWorkflowNet(
-            f"one source and one sink needed; places without incoming arcs: {no_in}, without outgoing arcs: {no_out}"
-        )
     return validate_workflow(parsed.net, parsed.source, parsed.sink), parsed
 
 
@@ -144,8 +142,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     unknown = [m for m in measures if m not in EVALUATE_MEASURES]
     if unknown or not measures:
         raise InputError(f"--measures {args.measures!r}: choose one or more of {', '.join(EVALUATE_MEASURES)}")
-    if args.max_trace_len is not None and "temd" not in measures:
-        raise InputError("--max-trace-len bounds only the tEMD unfolding, and --measures lacks temd")
+    for flag, value in (("--coverage", args.coverage), ("--max-trace-len", args.max_trace_len)):
+        if value is not None and "temd" not in measures:
+            raise InputError(f"{flag} bounds only the tEMD unfolding, and --measures lacks temd")
+    coverage = _TEMD_COVERAGE if args.coverage is None else args.coverage
 
     swn = _load_weighted(args.net)
     target = _load_target(args, swn.wn)
@@ -160,10 +160,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         elif m == "remd":
             reports.append(restricted_emd(target, probs))
         else:
-            report = truncated_emd(target, unfold_language(annotated, args.coverage, args.max_trace_len))
-            if report.coverage_used < args.coverage:
+            report = truncated_emd(target, unfold_language(annotated, coverage, args.max_trace_len))
+            if report.coverage_used < coverage:
                 print(
-                    f"warning: tEMD unfolding reached coverage {report.coverage_used} < requested {args.coverage}: "
+                    f"warning: tEMD unfolding reached coverage {report.coverage_used} < requested {coverage}: "
                     "--max-trace-len or markings that cannot reach the sink cut the rest; value is partial",
                     file=sys.stderr,
                 )
@@ -226,9 +226,9 @@ def _add_net_and_log_options(p: argparse.ArgumentParser, log_required: bool) -> 
     _add_csv_options(p)
 
 
-def _add_unfold_options(p: argparse.ArgumentParser, coverage: float | None) -> None:
+def _add_unfold_options(p: argparse.ArgumentParser, coverage_help: str) -> None:
     """The budgets of the free language's unfolding (tEMD; unfold without --log)."""
-    p.add_argument("--coverage", type=float, default=coverage, help="probability mass to unfold (default: %(default)s)")
+    p.add_argument("--coverage", type=float, help=coverage_help)
     p.add_argument("--max-trace-len", type=int, help="unfolding trace length budget")
 
 
@@ -258,14 +258,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="measure divergences of a weighted net against a log")
     p.set_defaults(handler=cmd_evaluate)
     _add_net_and_log_options(p, log_required=True)
-    _add_unfold_options(p, 0.8)
+    _add_unfold_options(p, f"probability mass to unfold for temd (default: {_TEMD_COVERAGE})")
     measures = ",".join(EVALUATE_MEASURES)
     p.add_argument("--measures", default=measures, help=f"comma list from {measures} (default: %(default)s)")
 
     p = sub.add_parser("unfold", help="dump trace probabilities or the truncated language")
     p.set_defaults(handler=cmd_unfold)
     _add_net_and_log_options(p, log_required=False)
-    _add_unfold_options(p, None)
+    _add_unfold_options(p, "probability mass to unfold")
 
     p = sub.add_parser("convert", help="round-trip nets and logs between formats")
     p.set_defaults(handler=cmd_convert)

@@ -128,26 +128,18 @@ def open_ends(net: LabeledPetriNet) -> tuple[list[str], list[str]]:
 def validate_workflow(net: LabeledPetriNet, source: str, sink: str) -> WorkflowNet:
     """Check the four workflow-net invariants and return the validated net.
 
-    Raises :class:`NotAWorkflowNet` naming the violated clause: source/sink
-    arc properties and uniqueness, the single-token initial marking, unit arc
-    multiplicities, or strong connectability of the augmented graph.
+    Raises :class:`NotAWorkflowNet` naming the violated clause: the source
+    and the sink as the only places without incoming and without outgoing
+    arcs, and distinct; the single-token initial marking; unit arc
+    multiplicities; or strong connectability of the augmented graph.
     """
-    if source not in net.places:
-        raise NotAWorkflowNet(f"source {source!r} is not a declared place")
-    if sink not in net.places:
-        raise NotAWorkflowNet(f"sink {sink!r} is not a declared place")
+    no_in, no_out = open_ends(net)
+    if no_in != [source] or no_out != [sink]:
+        raise NotAWorkflowNet(
+            f"one source and one sink needed; places without incoming arcs: {no_in}, without outgoing arcs: {no_out}"
+        )
     if source == sink:
         raise NotAWorkflowNet("source and sink must be distinct places")
-
-    no_in, no_out = open_ends(net)
-    if source not in no_in:
-        raise NotAWorkflowNet("source has incoming arc")
-    if sink not in no_out:
-        raise NotAWorkflowNet("sink has outgoing arc")
-    if no_in != [source]:
-        raise NotAWorkflowNet(f"places without incoming arcs must be exactly the source, got {no_in}")
-    if no_out != [sink]:
-        raise NotAWorkflowNet(f"places without outgoing arcs must be exactly the sink, got {no_out}")
 
     marked = {p for p, n in net.initial_marking.items() if n > 0}
     if marked != {source} or net.initial_marking.get(source) != 1:

@@ -19,8 +19,11 @@
   the prefixes it creates at :data:`MAX_PREFIXES`.  The mass not collected
   is left in ``residual``.
 
-Both prune the nodes from which no trace can end (:func:`_reaching`) and
-accept a solved probability only inside [0, 1] (:func:`_unit_interval`).
+Both read a trace's probability as the expected visits of the sink, which
+has no outgoing arcs: at the product key (sink, σ), or at the sink entry of
+prefix u's visits.  Both prune the nodes from which no trace can end
+(:func:`_reaching`) and accept a solved probability only inside [0, 1]
+(:func:`_unit_interval`).
 """
 
 import heapq
@@ -85,20 +88,21 @@ class PrefixProduct:
     ``traces`` is any iterable of target traces; the empty trace is allowed,
     and an empty set raises ``ValueError``.  The attribute ``traces`` keeps
     the distinct ones in first-seen order, the order of every probability
-    array; ``producible`` masks those with a hit.  Keys
-    are (state, node) pairs over the targets' prefix trie, numbered breadth
-    first from (initial state, root) along target prefixes: a silent arc
-    keeps the node, a visible arc steps the trie.  An arc into the sink is a
-    *hit* when its node is a target.  Keys from which no hit is reachable
-    are pruned with their arcs: they carry no target mass, and an exitless
-    silent cycle among them would make the system singular.  The expected
-    visits ``x`` of the keys solve ``(I - P^T) x = e_0``; P(σ) sums
-    ``x * p`` over σ's hits.  The adjoint ``λ = (I - P^T)^{-T} c`` reuses
-    the same LU factor, so the gradient of any function of the P(σ) with
-    respect to every arc probability costs one more (transposed) solve.
-    Parallel arcs between two keys share one slot of the pattern.  The
-    matrix is built once and each solve overwrites its values in place, so
-    one product must not be solved by two threads at once.
+    array.  Keys are (state, node) pairs over the targets' prefix trie,
+    numbered breadth first from (initial state, root) along target
+    prefixes: a silent arc keeps the node, a visible arc steps the trie.
+    Target σ's *end key* is (sink, σ's node); the sink has no outgoing arcs,
+    so the key is absorbing and its expected visits are P(σ).
+    ``producible`` masks the targets whose end key exists.  Keys from which
+    no end key is reachable are pruned with their arcs: they carry no target
+    mass, and an exitless silent cycle among them would make the system
+    singular.  The expected visits ``x`` of the keys solve
+    ``(I - P^T) x = e_0``.  The adjoint ``λ = (I - P^T)^{-T} c`` reuses the
+    same LU factor, so the gradient of any function of the P(σ) with respect
+    to every arc probability costs one more (transposed) solve.  Parallel
+    arcs between two keys share one slot of the pattern.  The matrix is
+    built once and each solve overwrites its values in place, so one product
+    must not be solved by two threads at once.
     """
 
     def __init__(self, rg: ReachabilityGraph, traces: Iterable[Trace]):
@@ -106,27 +110,22 @@ class PrefixProduct:
         if not self.traces:
             raise ValueError("target trace set must be non-empty")
         children: list[dict[str, int]] = [{}]  # the targets' prefix trie; node 0 is the root
-        target_of: dict[int, int] = {}  # trie node -> index in self.traces of the target ending there
-        for i, trace in enumerate(self.traces):
+        ends = []  # the trie node each target ends at, in self.traces order
+        for trace in self.traces:
             node = 0
             for symbol in trace:
                 node = children[node].setdefault(symbol, len(children))
                 if node == len(children):
                     children.append({})
-            target_of[node] = i
+            ends.append(node)
 
         index = {(rg.initial, 0): 0}
         keys = [(rg.initial, 0)]
         edges = []  # (source key, destination key, arc)
-        hits = []  # (source key, target index, arc)
         for src, (state, node) in enumerate(keys):  # keys grows while iterated: breadth first
             for a, dst, symbol in rg.out_arcs[state]:
                 nxt = node if symbol is None else children[node].get(symbol)
                 if nxt is None:
-                    continue
-                if dst == rg.sink_state:
-                    if nxt in target_of:
-                        hits.append((src, target_of[nxt], a))
                     continue
                 key = (dst, nxt)
                 if key not in index:
@@ -134,7 +133,10 @@ class PrefixProduct:
                     keys.append(key)
                 edges.append((src, index[key], a))
 
-        live = _reaching(len(keys), [(src, dst) for src, dst, _ in edges], [src for src, _, _ in hits])
+        end_key = np.array([index.get((rg.sink_state, node), -1) for node in ends], dtype=np.int64)
+        self.producible = end_key >= 0
+        end_key = end_key[self.producible]
+        live = _reaching(len(keys), [(src, dst) for src, dst, _ in edges], end_key)
         renumber = np.cumsum(live) - 1
         edges = np.array(edges, dtype=np.int64).reshape(-1, 3)
         kept = edges[live[edges[:, 1]]]  # a predecessor of a live key is live
@@ -152,11 +154,8 @@ class PrefixProduct:
         self._edge_slot = slot_of[n:]
         self._edge_src, self._edge_dst = renumber[kept[:, 0]], renumber[kept[:, 1]]
         self._edge_arc = kept[:, 2]
+        self._end_key = renumber[end_key]
         self._e0 = np.eye(1, n)[0]
-
-        hits = np.array(hits, dtype=np.int64).reshape(-1, 3)
-        self._hit_key, self._hit_target, self._hit_arc = renumber[hits[:, 0]], hits[:, 1], hits[:, 2]
-        self.producible = np.bincount(self._hit_target, minlength=len(self.traces)) > 0
 
     def probabilities(self, arg: AnnotatedRG) -> np.ndarray:
         """Probability of each target trace, in :attr:`traces` order; 0.0 for a
@@ -168,16 +167,17 @@ class PrefixProduct:
         """:meth:`probabilities`, plus the map from ∂L/∂P(σ) (an array, like
         them) to ∂L/∂p per arc of ``arg`` for any L of these probabilities.
 
-        The map is one transposed solve on the factor already computed: with
-        ``c`` the trace gradients weighted by each hit's arc probability at
-        the hit's key, ``λ = (I - P^T)^{-T} c``, and an arc gets its hits'
-        ``∂L/∂P(σ) * x[key]`` plus its edges' ``λ[dst] * x[src]``.  Traces
-        the graph cannot produce have no arcs to credit and are ignored.
+        P(σ) is the visits of σ's end key.  The map is one transposed solve
+        on the factor already computed: with ``c`` the trace gradients placed
+        at the end keys, ``λ = (I - P^T)^{-T} c``, and an arc gets its edges'
+        ``λ[dst] * x[src]``.  Traces the graph cannot produce have no end key
+        and are ignored.
         """
         arc_prob = arg.arc_prob
         n_arcs = len(arc_prob)
+        probs = np.zeros(len(self.traces))
         if not self.producible.any():
-            return np.zeros(len(self.traces)), lambda trace_grad: np.zeros(n_arcs)
+            return probs, lambda trace_grad: np.zeros(n_arcs)
         np.subtract(
             self._identity,
             np.bincount(self._edge_slot, arc_prob[self._edge_arc], len(self._identity)),
@@ -185,17 +185,14 @@ class PrefixProduct:
         )
         lu = _factor(self._matrix)
         visits = lu.solve(self._e0)
-        probs = _unit_interval(
-            np.bincount(self._hit_target, visits[self._hit_key] * arc_prob[self._hit_arc], len(self.traces))
-        )
+        probs[self.producible] = visits[self._end_key]
+        probs = _unit_interval(probs)
 
         def pullback(trace_grad: np.ndarray) -> np.ndarray:
-            hit_grad = trace_grad[self._hit_target]
-            c = np.bincount(self._hit_key, hit_grad * arc_prob[self._hit_arc], len(visits))
+            c = np.zeros(len(visits))
+            c[self._end_key] = trace_grad[self.producible]
             adjoint = lu.solve(c, trans="T")
-            arc_grad = np.bincount(self._hit_arc, hit_grad * visits[self._hit_key], n_arcs)
-            arc_grad += np.bincount(self._edge_arc, adjoint[self._edge_dst] * visits[self._edge_src], n_arcs)
-            return arc_grad
+            return np.bincount(self._edge_arc, adjoint[self._edge_dst] * visits[self._edge_src], n_arcs)
 
         return probs, pullback
 
@@ -208,7 +205,7 @@ def trace_probabilities(arg: AnnotatedRG, traces: Iterable[Trace]) -> dict[Trace
     """
     product = PrefixProduct(arg.rg, traces)
     probs = product.probabilities(arg).tolist()
-    return {t: p for t, p, hit in zip(product.traces, probs, product.producible) if hit}
+    return {t: p for t, p, producible in zip(product.traces, probs, product.producible) if producible}
 
 
 def unfold_language(arg: AnnotatedRG, coverage: float = 1.0, max_trace_len: int | None = None) -> StochasticLanguage:

@@ -41,6 +41,25 @@ def parallel_choice_wn() -> WorkflowNet:
     return validate_workflow(net, "source", "sink")
 
 
+def twin_label_wn() -> WorkflowNet:
+    """``b1`` and ``b2``, both labelled ``b``, and ``a``: each moves the source token to the sink."""
+    net = LabeledPetriNet(
+        places=("source", "sink"),
+        transitions=("b1", "b2", "a"),
+        flow={
+            ("source", "b1"): 1,
+            ("b1", "sink"): 1,
+            ("source", "b2"): 1,
+            ("b2", "sink"): 1,
+            ("source", "a"): 1,
+            ("a", "sink"): 1,
+        },
+        labeling={"b1": "b", "b2": "b", "a": "a"},
+        initial_marking={"source": 1},
+    )
+    return validate_workflow(net, "source", "sink")
+
+
 PARALLEL_CHOICE_WEIGHTS = {"a": 1.0, "b": 0.3, "c": 0.35, "d": 0.35, "tau": 1.0}
 
 

@@ -595,14 +595,25 @@ def test_unfold_with_log_refuses_the_free_unfolding_budgets(workdir, capsys, fla
     assert f"{flag} bounds only unfold without --log" in captured.err
 
 
-def test_evaluate_refuses_max_trace_len_without_temd(workdir, capsys):
-    args = ["evaluate", "--net", str(workdir / "net.pnml"), "--log", str(workdir / "log.csv"), "--max-trace-len", "3"]
+@pytest.mark.parametrize("flag,value", [("--coverage", "0.1"), ("--max-trace-len", "3")])
+def test_evaluate_refuses_the_free_unfolding_budgets_without_temd(workdir, capsys, flag, value):
+    args = ["evaluate", "--net", str(workdir / "net.pnml"), "--log", str(workdir / "log.csv"), flag, value]
     assert main(args + ["--measures", "lh,remd"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--max-trace-len bounds only the tEMD unfolding" in captured.err
+    assert f"{flag} bounds only the tEMD unfolding" in captured.err
     assert main(args + ["--measures", "lh,temd"]) == 0
     assert [r["kind"] for r in json.loads(capsys.readouterr().out)] == ["lh", "temd"]
+
+
+def test_evaluate_without_coverage_unfolds_temd_to_0_8(workdir, capsys):
+    # the unfolding stops at {acb, adb, abc}, mass 0.85, the first to reach 0.8
+    args = ["evaluate", "--net", str(workdir / "net.pnml"), "--log", str(workdir / "log.csv"), "--measures", "temd"]
+    assert main(args) == 0
+    default = json.loads(capsys.readouterr().out)
+    assert default[0]["coverage_used"] == pytest.approx(0.85, abs=1e-9)
+    assert main(args + ["--coverage", "0.8"]) == 0
+    assert json.loads(capsys.readouterr().out) == default
 
 
 def test_convert_csv_xes_roundtrip(workdir, tmp_path):

@@ -30,6 +30,7 @@ from .fixtures import (
     parallel_choice_wn,
     single_transition_wn,
     two_loop_log,
+    twin_label_wn,
     two_loop_wn,
 )
 from .oracles import mincost_transport_units
@@ -339,6 +340,7 @@ def _has_cycle(rg):
 _GRADIENT_SPECS = {
     "parallel-choice": lambda: _pc_spec("lh"),
     "two-loop": lambda: _two_loop_spec("lh"),
+    "twin-label": lambda: ObjectiveSpec.for_net("lh", twin_label_wn(), StochasticLanguage({("b",): 0.6, ("a",): 0.4})),
     **{f"treegen-{seed}": (lambda seed=seed: _treegen_lh_spec(seed)) for seed in (1, 2, 3)},
 }
 

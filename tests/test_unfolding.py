@@ -28,6 +28,7 @@ from .fixtures import (
     parallel_choice_swn,
     silent_livelock_wn,
     single_transition_wn,
+    twin_label_wn,
     two_loop_swn,
 )
 from .sim import simulate_target_frequencies
@@ -85,6 +86,16 @@ def test_trace_probabilities_empty_trace_target():
     )
     swn = StochasticWorkflowNet(validate_workflow(net, "source", "sink"), {"t": 1.0})
     assert trace_probabilities(_annotated(swn), [(), ("a",)]) == {(): 1.0}
+
+
+def test_same_label_arcs_into_the_sink_add_up():
+    # b1 and b2 both end ⟨b⟩: two arcs into one absorbing key, summed in one slot
+    w1, w2, w3 = 0.3, 1.7, 0.9
+    swn = StochasticWorkflowNet(twin_label_wn(), {"b1": w1, "b2": w2, "a": w3})
+    result = trace_probabilities(_annotated(swn), [("b",), ("a",), ("b", "b")])
+    assert set(result) == {("b",), ("a",)}
+    assert result[("b",)] == pytest.approx((w1 + w2) / (w1 + w2 + w3), abs=1e-12)
+    assert result[("a",)] == pytest.approx(w3 / (w1 + w2 + w3), abs=1e-12)
 
 
 def test_trace_probabilities_empty_target_set_raises():
