@@ -142,6 +142,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     unknown = [m for m in measures if m not in EVALUATE_MEASURES]
     if unknown or not measures:
         raise InputError(f"--measures {args.measures!r}: choose one or more of {', '.join(EVALUATE_MEASURES)}")
+    repeated = sorted({m for m in measures if measures.count(m) > 1})
+    if repeated:
+        raise InputError(f"--measures {args.measures!r} repeats {', '.join(repeated)}")
     for flag, value in (("--coverage", args.coverage), ("--max-trace-len", args.max_trace_len)):
         if value is not None and "temd" not in measures:
             raise InputError(f"{flag} bounds only the tEMD unfolding, and --measures lacks temd")

@@ -18,7 +18,8 @@ marginals arrays in cost-matrix order; only :func:`language_emd` and
   the two marginals.  Per-call set-up, not pivoting, dominates these small
   LPs, so this is what makes rEMD cheap enough to optimize.  Every solve
   starts cold, from no basis: a warm start would save a little more but
-  make a value depend on which LPs the model solved before.  HiGHS runs
+  make a value depend on which LPs the model solved before.  rEMD and tEMD
+  read back only the LP's value; ``emd`` also reads the plan.  HiGHS runs
   without presolve: presolve wrongly declares a transportation system
   infeasible when a marginal entry lies below its feasibility tolerance
   (~1e-7), and these LPs solve no slower without it.
@@ -232,18 +233,12 @@ class TransportPlan:
     cost: float
 
 
-def emd(p, q, cost: CostMatrix) -> TransportPlan:
-    """Exact earth mover's distance between ``p`` over ``cost.rows`` and ``q``
-    over ``cost.cols``, float sequences in those orders, each of mass one.
+def _emd_cost(p, q, cost: CostMatrix) -> float:
+    """The optimal value of :func:`emd`'s transportation LP, from the same cold solve.
 
-    Solves the transportation linear program: minimize the total moving cost
-    over all couplings whose row sums reproduce ``p`` and column sums ``q``.
-    The LP is the cost matrix's own HiGHS model.  This call writes the n+m
-    marginals into its row bounds, clears the previous solve's basis and
-    solves from scratch, so the result depends only on ``p``, ``q`` and the
-    costs, never on earlier calls.  HiGHS runs without presolve, because
-    presolve rejects feasible systems whose marginals hold entries below its
-    ~1e-7 tolerance.
+    Only the value is read back, which costs far less than the solver's full
+    info record; the solution stays in ``cost``'s model until its next
+    solve, and :func:`emd` reads the plan from there.
     """
     p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
     n, m = len(cost.rows), len(cost.cols)
@@ -259,8 +254,27 @@ def emd(p, q, cost: CostMatrix) -> TransportPlan:
     status = lp.getModelStatus()
     if status != highs.HighsModelStatus.kOptimal:
         raise InfeasibleMarginals(f"transportation LP failed: {lp.modelStatusToString(status)}")
-    plan = np.maximum(np.array(lp.getSolution().col_value).reshape(n, m), 0.0)
-    return TransportPlan(plan=plan, cost=float(lp.getInfo().objective_function_value))
+    return float(lp.getObjectiveValue())
+
+
+def emd(p, q, cost: CostMatrix) -> TransportPlan:
+    """Exact earth mover's distance between ``p`` over ``cost.rows`` and ``q``
+    over ``cost.cols``, float sequences in those orders, each of mass one.
+
+    Solves the transportation linear program: minimize the total moving cost
+    over all couplings whose row sums reproduce ``p`` and column sums ``q``.
+    The LP is the cost matrix's own HiGHS model.  This call writes the n+m
+    marginals into its row bounds, clears the previous solve's basis and
+    solves from scratch, so the result depends only on ``p``, ``q`` and the
+    costs, never on earlier calls.  HiGHS runs without presolve, because
+    presolve rejects feasible systems whose marginals hold entries below its
+    ~1e-7 tolerance.  rEMD and tEMD read back only the value; this call
+    also reads the optimal plan from the same solve.
+    """
+    value = _emd_cost(p, q, cost)
+    shape = (len(cost.rows), len(cost.cols))
+    plan = np.maximum(np.array(cost._lp.getSolution().col_value).reshape(shape), 0.0)
+    return TransportPlan(plan=plan, cost=value)
 
 
 def language_emd(p: StochasticLanguage, q: StochasticLanguage) -> TransportPlan:
@@ -324,7 +338,8 @@ def restricted_emd(target: StochasticLanguage, model: np.ndarray, cost: CostMatr
     restricted to the target's support.
 
     The restriction is usually defective; it is renormalized to mass one
-    before the transportation problem is solved.  ``cost`` is the
+    before the transportation problem is solved for its value alone, which
+    is :func:`emd`'s cost clamped to [0, 1].  ``cost`` is the
     normalized-Levenshtein matrix with the support, in order, as its rows and
     columns; it is built here when omitted.  Raises :class:`ZeroModelMass`
     when the model puts essentially no probability on any observed trace.
@@ -335,22 +350,23 @@ def restricted_emd(target: StochasticLanguage, model: np.ndarray, cost: CostMatr
         cost = levenshtein_cost_matrix(support, support)
     elif cost.rows != support or cost.cols != support:
         raise ValueError("cost matrix rows and columns must both be the target's support, in its order")
-    plan = emd(list(target.probs.values()), model / mass, cost)
-    value = min(max(plan.cost, 0.0), 1.0)
-    return DistanceReport(kind="remd", value=value, model_mass_on_log=mass)
+    value = _emd_cost(list(target.probs.values()), model / mass, cost)
+    return DistanceReport(kind="remd", value=min(max(value, 0.0), 1.0), model_mass_on_log=mass)
 
 
 def truncated_emd(target: StochasticLanguage, model: StochasticLanguage) -> DistanceReport:
     """EMD against the model language ``unfold_language`` truncated at a coverage.
 
-    Both sides are renormalized to mass one before the LP.  The model's mass
-    is reported as ``coverage_used``; it falls below the requested coverage
-    when the trace length budget or markings that cannot reach the sink cut
-    the unfolding first.
+    Both sides are renormalized to mass one before the LP, which is solved for
+    its value alone, as ``language_emd(...).cost`` clamped to [0, 1].  The
+    model's mass is reported as ``coverage_used``; it falls below the
+    requested coverage when the trace length budget or markings that cannot
+    reach the sink cut the unfolding first.
     """
     mass = model.mass()
     if mass < MASS_FLOOR:
         raise ZeroModelMass(f"truncated unfolding reached mass {mass}")
-    plan = language_emd(target.normalized(), model.normalized())
-    value = min(max(plan.cost, 0.0), 1.0)
-    return DistanceReport(kind="temd", value=value, coverage_used=mass)
+    p, q = target.normalized(), model.normalized()
+    cost = levenshtein_cost_matrix(tuple(p.probs), tuple(q.probs))
+    value = _emd_cost(list(p.probs.values()), list(q.probs.values()), cost)
+    return DistanceReport(kind="temd", value=min(max(value, 0.0), 1.0), coverage_used=mass)

@@ -9,12 +9,18 @@ scale invariant; optimization happens in log-weight space, within the log of
 :data:`WEIGHT_BOUNDS` per weight, and the reported weights are rescaled so
 the largest equals one.
 
-Every point is scored by one call to :func:`evaluate_objective`, which gives
+A point is scored by one call to :func:`evaluate_objective`, which gives
 the value or, with ``gradient=True`` (lh), the value and its gradient over
 log-weights.  :func:`_score` is its one guard: it scores a point the
 objective cannot score ``INVALID_OBJECTIVE``.  Both :func:`select_start` and
 :func:`minimize` score through it, and the start of the minimization is
-scored once, by scipy's first call.
+scored once, by scipy's first call.  Everything after :func:`annotate` reads
+only the arc probabilities, and the solves are deterministic, so
+:func:`minimize` scores a point whose arc probabilities equal, bit for bit,
+those of the last point it scored by handing back that point's outcome.
+Such repeats are common: a weight whose transition is only ever enabled
+alone has arc probability w/w = 1.0, so a line search along it asks for the
+same arc probabilities again.
 
 The measure picks the local method (:data:`METHODS`), one call to
 :func:`scipy.optimize.minimize` with these bounds:
@@ -204,21 +210,29 @@ def select_start(spec: ObjectiveSpec, config: OptimizerConfig) -> np.ndarray:
 
 def minimize(spec: ObjectiveSpec, w0, config: OptimizerConfig) -> OptimizationResult:
     """Local minimization from the weights ``w0`` (transition order) in log-weight space within
-    :data:`WEIGHT_BOUNDS`, by the measure's method; returns the best point evaluated."""
+    :data:`WEIGHT_BOUNDS`, by the measure's method; returns the best point evaluated.
+
+    A point whose arc probabilities equal those of the last point scored in
+    this call gets that point's outcome without a new evaluation."""
     with_gradient = spec.measure == "lh"
     lo, hi = math.log(WEIGHT_BOUNDS[0]), math.log(WEIGHT_BOUNDS[1])
     x0 = np.clip(np.log(np.asarray(w0, dtype=np.float64)), lo, hi)
     best = {"value": math.inf, "x": x0}
+    last = {"arc_prob": None, "out": None}  # the last point scored, by its arc probabilities
     trace = []
 
     def objective(x):
-        out = _score(spec, np.exp(x), gradient=with_gradient)
+        weights = np.exp(x)
+        arc_prob = annotate(spec.rg, weights).arc_prob
+        if not np.array_equal(arc_prob, last["arc_prob"]):
+            last.update(arc_prob=arc_prob, out=_score(spec, weights, gradient=with_gradient))
+        out = last["out"]
         fx = out[0] if with_gradient else out
         if fx < best["value"]:
             best.update(value=fx, x=x.copy())
         if not trace:  # scipy's first call scores x0
             trace.append((0, fx))
-        return out
+        return (fx, out[1].copy()) if with_gradient else fx  # scipy may keep or alter a gradient it is given
 
     def callback(intermediate_result):  # this name selects scipy's one-call-per-iteration OptimizeResult form
         trace.append((len(trace), best["value"]))

@@ -480,6 +480,17 @@ def test_evaluate_empty_measure_list_exits_2(workdir, capsys, measures):
     assert "--measures" in captured.err
 
 
+@pytest.mark.parametrize("measures,repeated", [("lh,lh", "lh"), ("remd,temd, remd,temd", "remd, temd")])
+def test_evaluate_repeated_measure_exits_2_naming_it(tmp_path, capsys, measures, repeated):
+    # once each entry was printed as often as it was listed; the net is never read
+    code = main(["evaluate", "--net", str(tmp_path / "missing.pnml"), "--log", str(tmp_path / "missing.csv"),
+                 "--measures", measures])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"repeats {repeated}" in captured.err
+
+
 @pytest.mark.parametrize("measure", ["lh", "remd"])
 @pytest.mark.parametrize("swn,log", [(parallel_choice_swn, parallel_choice_log), (two_loop_swn, two_loop_log)])
 def test_evaluate_reproduces_discover(tmp_path, capsys, measure, swn, log):

@@ -436,6 +436,29 @@ def test_remd_value_independent_of_evaluation_history():
     assert 0.0 < values[0] < 1.0
 
 
+def _random_language(rng, np_rng, size, residual=0.0):
+    support = _random_support(rng, size, "abcd")
+    masses = np_rng.random(size) ** 3 + 1e-9
+    return StochasticLanguage(dict(zip(support, (masses / masses.sum() * (1.0 - residual)).tolist())), residual)
+
+
+@pytest.mark.parametrize("n,m", [(1, 3), (6, 6), (25, 40)])
+def test_remd_and_temd_values_equal_the_plan_solve_bit_for_bit(n, m):
+    # rEMD and tEMD solve for the LP value alone; emd also reads the plan
+    rng, np_rng = random.Random(n * 100 + m), np.random.default_rng(n * 100 + m)
+    for _ in range(3):
+        target = _random_language(rng, np_rng, n)
+        model = np_rng.random(n) ** 3  # a defective restriction
+        support = tuple(target.probs)
+        cost = levenshtein_cost_matrix(support, support)
+        report = restricted_emd(target, model, cost)
+        plan = emd(list(target.probs.values()), model / report.model_mass_on_log, cost)
+        assert report.value == min(max(plan.cost, 0.0), 1.0)
+        truncated = _random_language(rng, np_rng, m, residual=0.2)
+        expected = min(max(language_emd(target.normalized(), truncated.normalized()).cost, 0.0), 1.0)
+        assert truncated_emd(target, truncated).value == expected
+
+
 def test_model_arrays_of_the_wrong_length_raise():
     target = parallel_choice_language()
     short = np.full(3, 1 / 3)  # the support holds four traces

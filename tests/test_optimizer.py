@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import swnopt.optimize
 import swnopt.unfolding
@@ -532,3 +533,47 @@ def test_every_factorization_is_one_objective_call(objective_calls, splu_calls, 
     optimized_weights(_two_loop_spec(measure), OptimizerConfig(n0=5, max_iter=10, seed=42))
     assert len(objective_calls) > 5
     assert len(objective_calls) == len(splu_calls)
+
+
+@pytest.fixture
+def scipy_objective(monkeypatch):
+    """The objective minimize hands to scipy, and each point scipy asks it for with the value returned."""
+    seen = {"fun": None, "calls": []}
+    original = scipy.optimize.minimize
+
+    def recording_minimize(fun, x0, **kwargs):
+        def recording(x):
+            out = fun(x)
+            seen["calls"].append((x.copy(), out))
+            return out
+
+        seen["fun"] = fun
+        return original(recording, x0, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", recording_minimize)
+    return seen
+
+
+def test_minimize_scores_each_run_of_equal_arc_probabilities_once(objective_calls, scipy_objective):
+    # a is enabled alone, so Powell's line search along its weight asks for
+    # arc probabilities it has just scored
+    spec = _pc_spec("remd")
+    config = OptimizerConfig(n0=10, seed=42)
+    optimized_weights(spec, config)
+    requested = scipy_objective["calls"]
+    assert len(objective_calls) < config.n0 + len(requested)
+    computed = [annotate(spec.rg, w).arc_prob for w in objective_calls[config.n0 :]]
+    assert not any(np.array_equal(a, b) for a, b in zip(computed, computed[1:]))
+    assert all(value == swnopt.optimize._score(spec, np.exp(x)) for x, value in requested)
+
+
+def test_minimize_hands_out_a_fresh_gradient_for_a_repeated_point(objective_calls, scipy_objective):
+    # one transition: its arc probability is w/w = 1.0 at every weight
+    spec = ObjectiveSpec.for_net("lh", single_transition_wn(), StochasticLanguage({("a",): 1.0}))
+    minimize(spec, [0.5], OptimizerConfig(n0=1, max_iter=5, seed=0))
+    objective = scipy_objective["fun"]
+    _, grad = objective(np.array([3.0]))
+    grad += 1.0  # scipy may write into a gradient it is given
+    value, grad = objective(np.array([-4.0]))
+    assert len(objective_calls) == 1
+    assert (value, grad.tolist()) == (0.0, [0.0])
