@@ -8,8 +8,8 @@ file's lines, one argument per line as it would be typed (``--n0=2``,
 ``--timings``).  argparse expands it before it parses anything, so a value
 from a file is checked as a typed one and the last value given wins.
 
-Exit codes: 0 success, 2 input parse/validation failure, 3 computation
-failure.  All outputs are deterministic given the inputs and the seed; wall
+Exit codes: 0 success, 2 input parse/validation failure or a path that
+cannot be read or written, 3 computation failure.  All outputs are deterministic given the inputs and the seed; wall
 clock timings go to stderr and enter the report JSON only with
 ``--timings``.
 """
@@ -31,8 +31,8 @@ from .logs import EventLog, StochasticLanguage, log_language, parse_csv, parse_x
 from .nets import StochasticWorkflowNet, WorkflowNet, validate_workflow
 from .optimize import MEASURES, METHODS, ObjectiveSpec, OptimizerConfig, optimized_weights
 from .pnml import ParsedPnml, parse_pnml, write_pnml
-from .semantics import DEFAULT_STATE_CAP, annotate, build_rg
-from .unfolding import PrefixProduct, trace_probabilities, unfold_language
+from .semantics import annotate, build_rg
+from .unfolding import PrefixProduct, budget_error, trace_probabilities, unfold_language
 
 REPORT_SCHEMA = "stochastic-weights/report/1"
 
@@ -79,6 +79,13 @@ def _load_target(args: argparse.Namespace, wn) -> StochasticLanguage:
     return log_language(log)
 
 
+def _check_budgets(coverage: float, max_trace_len: int | None) -> None:
+    """Refuse a free-unfolding budget out of range, by its flag, before any file is read."""
+    if error := budget_error(coverage, max_trace_len):
+        name, rule = error
+        raise InputError(f"--{name.replace('_', '-')} {rule}")
+
+
 def _trace_entries(probs: dict, key: str) -> list[dict]:
     return [{"trace": list(t), key: p} for t, p in sorted(probs.items())]
 
@@ -93,10 +100,8 @@ def cmd_discover(args: argparse.Namespace) -> int:
     timings["parse"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    rg = build_rg(wn, state_cap=args.state_cap)
-    timings["rg"] = time.perf_counter() - t0
-
-    spec = ObjectiveSpec(measure=args.measure, rg=rg, target=target)
+    spec = ObjectiveSpec.for_net(args.measure, wn, target)
+    timings["spec"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     result = optimized_weights(spec, config)
@@ -149,10 +154,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if value is not None and "temd" not in measures:
             raise InputError(f"{flag} bounds only the tEMD unfolding, and --measures lacks temd")
     coverage = _TEMD_COVERAGE if args.coverage is None else args.coverage
+    _check_budgets(coverage, args.max_trace_len)
 
     swn = _load_weighted(args.net)
     target = _load_target(args, swn.wn)
-    rg = build_rg(swn.wn, state_cap=args.state_cap)
+    rg = build_rg(swn.wn)
     annotated = annotate(rg, swn.weight_vector())
     probs = PrefixProduct(rg, target.probs).probabilities(annotated) if set(MEASURES) & set(measures) else None
 
@@ -183,9 +189,11 @@ def cmd_unfold(args: argparse.Namespace) -> int:
         for flag, value in (("--coverage", args.coverage), ("--max-trace-len", args.max_trace_len)):
             if value is not None:
                 raise InputError(f"unfold --log gives exact probabilities; {flag} bounds only unfold without --log")
+    else:
+        _check_budgets(args.coverage, args.max_trace_len)
     swn = _load_weighted(args.net)
     target = _load_target(args, swn.wn) if args.log else None
-    annotated = annotate(build_rg(swn.wn, state_cap=args.state_cap), swn.weight_vector())
+    annotated = annotate(build_rg(swn.wn), swn.weight_vector())
 
     if target is not None:
         payload = {"traces": _trace_entries(trace_probabilities(annotated, target.probs), "prob")}
@@ -222,9 +230,6 @@ def _add_csv_options(p: argparse.ArgumentParser) -> None:
 
 def _add_net_and_log_options(p: argparse.ArgumentParser, log_required: bool) -> None:
     p.add_argument("--net", required=True, help="PNML net file")
-    p.add_argument(
-        "--state-cap", type=int, default=DEFAULT_STATE_CAP, help="reachability state cap (default: %(default)s)"
-    )
     p.add_argument("--log", required=log_required, help="event log file (.xes or .csv)")
     _add_csv_options(p)
 
@@ -287,7 +292,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.handler(args)
-    except (InputError, FileNotFoundError, IsADirectoryError, ValueError) as exc:
+    except (InputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ComputationError as exc:

@@ -264,9 +264,14 @@ def write_csv(log: EventLog, case_col: str = "case", activity_col: str = "activi
     return out.getvalue()
 
 
+def xml_can_hold(text: str) -> bool:
+    """Whether XML 1.0 can hold ``text``; it has no form, not even a character
+    reference, for a character outside the ranges below."""
+    return re.search("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]", text) is None
+
+
 def write_xes(log: EventLog) -> bytes:
-    # XML 1.0 has no form, not even a character reference, for a character outside these ranges
-    bad = [a for a in log.alphabet if re.search("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]", a)]
+    bad = [a for a in log.alphabet if not xml_can_hold(a)]
     if bad:
         raise InputError(f"XES cannot hold activity {bad[0]!r}: XML 1.0 has no such character")
     root = ET.Element("log", {"xes.version": "1.0"})

@@ -24,6 +24,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
 from .errors import InputError
+from .logs import xml_can_hold
 from .nets import SILENT, LabeledPetriNet, StochasticWorkflowNet, is_weight, open_ends
 
 WEIGHT_TOOL = "stochastic-weights"
@@ -218,15 +219,23 @@ def parse_pnml(data: bytes | str) -> ParsedPnml:
     return ParsedPnml(net, source, sink, weights or {t: 1.0 for t in transitions}, not weights)
 
 
+def _refuse_non_xml(kind: str, node: str, *texts: str | None) -> None:
+    for text in texts:
+        if text is not None and not xml_can_hold(text):
+            raise ValueError(f"{kind} {node!r}: XML 1.0 cannot hold {text!r}")
+
+
 def write_pnml(swn: StochasticWorkflowNet) -> bytes:
     """Serialize a stochastic workflow net; ``parse_pnml`` round-trips it, so a
-    visible label the reader takes for silent raises ``ValueError``."""
+    visible label the reader takes for silent, or an id or label with a
+    character XML 1.0 cannot hold, raises ``ValueError``."""
     net = swn.wn.net
     root = ET.Element("pnml")
     net_elem = ET.SubElement(root, "net", {"id": "net1", "type": "http://www.pnml.org/version-2009/grammar/ptnet"})
     page = ET.SubElement(net_elem, "page", {"id": "page1"})
 
     for pid in net.places:
+        _refuse_non_xml("place", pid, pid)
         place = ET.SubElement(page, "place", {"id": pid})
         name = ET.SubElement(ET.SubElement(place, "name"), "text")
         name.text = pid
@@ -239,6 +248,7 @@ def write_pnml(swn: StochasticWorkflowNet) -> bytes:
         trans = ET.SubElement(page, "transition", {"id": tid})
         name = ET.SubElement(ET.SubElement(trans, "name"), "text")
         label = net.labeling[tid]
+        _refuse_non_xml("transition", tid, tid, label)
         if label in _SILENT_NAMES:
             raise ValueError(f"transition {tid!r}: visible label {label!r} would read back as silent")
         name.text = "tau" if label is SILENT else label

@@ -34,10 +34,11 @@ class NotOneSafe(InputError):
 
 
 class StateCapExceeded(ComputationError):
-    """Reachability exploration hit the state cap."""
+    """Reachability exploration found more than STATE_CAP markings."""
 
 
-DEFAULT_STATE_CAP = 1_000_000
+#: Most reachable markings :func:`build_rg` explores; past it StateCapExceeded is raised.
+STATE_CAP = 1_000_000
 
 
 def _masks(net) -> tuple[LabeledPetriNet, dict[str, int], list[int], list[int]]:
@@ -139,10 +140,8 @@ class ReachabilityGraph:
         return "".join(_places(self.wn.net, self.states[state]))
 
 
-def build_rg(wn: WorkflowNet, state_cap: int = DEFAULT_STATE_CAP) -> ReachabilityGraph:
-    """Breadth-first reachability exploration of a 1-safe workflow net."""
-    if state_cap <= 0:
-        raise ValueError("state_cap must be positive")
+def build_rg(wn: WorkflowNet) -> ReachabilityGraph:
+    """Breadth-first reachability exploration of a 1-safe workflow net, up to :data:`STATE_CAP` markings."""
     net, bit, pre, post = _masks(wn)
     labels = [net.labeling[t] for t in net.transitions]
     initial = sum(bit[p] for p, n in net.initial_marking.items() if n > 0)
@@ -162,8 +161,8 @@ def build_rg(wn: WorkflowNet, state_cap: int = DEFAULT_STATE_CAP) -> Reachabilit
                 continue
             dst = state_index.get(new_mask)
             if dst is None:
-                if len(states) >= state_cap:
-                    raise StateCapExceeded(f"more than {state_cap} reachable markings")
+                if len(states) >= STATE_CAP:
+                    raise StateCapExceeded(f"more than {STATE_CAP} reachable markings")
                 dst = len(states)
                 state_index[new_mask] = dst
                 states.append(new_mask)

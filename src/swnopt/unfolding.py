@@ -208,6 +208,15 @@ def trace_probabilities(arg: AnnotatedRG, traces: Iterable[Trace]) -> dict[Trace
     return {t: p for t, p, producible in zip(product.traces, probs, product.producible) if producible}
 
 
+def budget_error(coverage: float, max_trace_len: int | None) -> tuple[str, str] | None:
+    """The first budget of :func:`unfold_language` out of range, as (parameter, rule), or None."""
+    if not (0.0 < coverage <= 1.0):
+        return "coverage", "must be in (0, 1]"
+    if max_trace_len is not None and max_trace_len < 1:
+        return "max_trace_len", "must be >= 1"
+    return None
+
+
 def unfold_language(arg: AnnotatedRG, coverage: float = 1.0, max_trace_len: int | None = None) -> StochasticLanguage:
     """The free language, most probable trace first, up to the first trace
     that brings the collected mass to ``coverage``.
@@ -224,10 +233,8 @@ def unfold_language(arg: AnnotatedRG, coverage: float = 1.0, max_trace_len: int 
     :data:`MAX_PREFIXES` prefixes it raises :class:`PrefixCapExceeded`, on a
     singular closure or a probability outside [0, 1] :class:`IllConditioned`.
     """
-    if not (0.0 < coverage <= 1.0):
-        raise ValueError("coverage must be in (0, 1]")
-    if max_trace_len is not None and max_trace_len < 1:
-        raise ValueError("max_trace_len must be >= 1")
+    if error := budget_error(coverage, max_trace_len):
+        raise ValueError(" ".join(error))
     rg = arg.rg
     if rg.sink_state is None:
         return StochasticLanguage(probs={}, residual=1.0)

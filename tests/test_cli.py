@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from swnopt.distances import normalized_levenshtein
 from swnopt.logs import EventLog, parse_csv, parse_xes, write_csv, write_xes
 from swnopt.optimize import OptimizerConfig
 from swnopt.pnml import parse_pnml, write_pnml
-from swnopt.semantics import DEFAULT_STATE_CAP, annotate, build_rg
+from swnopt.semantics import annotate, build_rg
 from swnopt.unfolding import unfold_language
 
 from .fixtures import (
@@ -109,7 +110,24 @@ def test_discover_timings_flag_adds_wall_times(workdir):
     code = main(_discover_args(workdir, measure="lh", seed="1", n0="2", max_iter="3") + ["--timings"])
     assert code == 0
     report = json.loads((workdir / "report.json").read_text())
-    assert set(report["timings"]) == {"parse", "rg", "optimize"}
+    assert set(report["timings"]) == {"parse", "spec", "optimize"}
+
+
+def test_discover_spec_phase_times_the_objective_build(workdir, monkeypatch):
+    # the product (and for rEMD the cost matrix) is built with the graph, inside the spec phase
+    from swnopt import unfolding
+
+    build = unfolding.PrefixProduct.__init__
+
+    def slow_build(self, *args):
+        time.sleep(0.05)
+        build(self, *args)
+
+    monkeypatch.setattr(unfolding.PrefixProduct, "__init__", slow_build)
+    assert main(_discover_args(workdir, measure="lh", seed="1", n0="2", max_iter="2") + ["--timings"]) == 0
+    timings = json.loads((workdir / "report.json").read_text())["timings"]
+    assert list(timings) == ["parse", "spec", "optimize"]
+    assert timings["spec"] >= 0.05
 
 
 def test_discover_missing_log_exits_2(workdir):
@@ -204,20 +222,49 @@ def test_discover_rejects_removed_flags(workdir, capsys, flag, value):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("flag", ["--source", "--sink"])
-@pytest.mark.parametrize("command", ["discover", "evaluate", "unfold", "convert"])
-def test_place_flags_are_removed(workdir, capsys, command, flag):
-    # a workflow net's source and sink are its only open ends, so they are never given
-    args = {
+def _runnable_args(workdir, command):
+    """A complete call of ``command`` on the fixture net and log."""
+    return {
         "discover": _discover_args(workdir),
         "evaluate": ["evaluate", "--net", str(workdir / "net.pnml"), "--log", str(workdir / "log.csv")],
         "unfold": ["unfold", "--net", str(workdir / "net.pnml"), "--coverage", "1.0"],
         "convert": ["convert", "--in", str(workdir / "net.pnml"), "--out", str(workdir / "copy.pnml")],
     }[command]
+
+
+@pytest.mark.parametrize("flag", ["--source", "--sink"])
+@pytest.mark.parametrize("command", ["discover", "evaluate", "unfold", "convert"])
+def test_place_flags_are_removed(workdir, capsys, command, flag):
+    # a workflow net's source and sink are its only open ends, so they are never given
     with pytest.raises(SystemExit) as exc:
-        main(args + [flag, "source"])
+        main(_runnable_args(workdir, command) + [flag, "source"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["discover", "evaluate", "unfold"])
+def test_state_cap_flag_is_removed(workdir, capsys, command):
+    # the reachability graph is bounded by one constant, semantics.STATE_CAP
+    with pytest.raises(SystemExit) as exc:
+        main(_runnable_args(workdir, command) + ["--state-cap", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --state-cap" in capsys.readouterr().err
+    assert not (workdir / "report.json").exists()
+
+
+@pytest.mark.parametrize("side", ["input", "output-convert", "output-discover"])
+def test_path_under_a_regular_file_exits_2(workdir, capsys, side):
+    # NotADirectoryError once escaped main with a traceback and exit 1
+    under_file = workdir / "log.csv" / "x"
+    argv = {
+        "input": ["unfold", "--net", str(under_file / "net.pnml"), "--coverage", "0.5"],
+        "output-convert": ["convert", "--in", str(workdir / "log.csv"), "--out", str(under_file / "log.xes")],
+        "output-discover": _discover_args(workdir, n0="2", max_iter="2", out_report=under_file / "report.json"),
+    }[side]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(under_file) in captured.err.splitlines()[-1]
 
 
 def test_option_file_option_the_subcommand_lacks_exits_2(workdir, capsys):
@@ -313,15 +360,13 @@ def test_parser_defaults_come_from_the_library():
     assert (discover.n0, discover.max_iter, discover.delta, discover.seed) == (
         config.n0, config.max_iter, config.delta, config.seed
     )
-    for command in ("discover", "evaluate", "unfold"):
-        assert parser.parse_args([command] + inputs).state_cap == DEFAULT_STATE_CAP
 
 
 def test_option_file_timings_line_turns_timings_on(workdir, capsys):
     args = _option_file(workdir / "run.args", "--timings", "--n0=2", "--max-iter=2")
     assert main(_discover_args(workdir, seed="1") + [args]) == 0
     report = json.loads((workdir / "report.json").read_text())
-    assert set(report["timings"]) == {"parse", "rg", "optimize"}
+    assert set(report["timings"]) == {"parse", "spec", "optimize"}
     capsys.readouterr()
 
 
@@ -549,11 +594,17 @@ def test_unfold_warns_as_evaluate_does(workdir, capsys, tmp_path):
     assert "warning: log activities absent from the net: ['zz']" in err
 
 
-def test_unfold_reads_its_log_before_building_the_graph(workdir, capsys):
+def test_unfold_reads_its_log_before_building_the_graph(workdir, capsys, monkeypatch):
     # a state cap of 1 fails the graph (exit 3), so exit 2 shows the log was read first
-    args = ["unfold", "--net", str(workdir / "net.pnml"), "--log", str(workdir / "nope.csv"), "--state-cap", "1"]
+    from swnopt import semantics
+
+    monkeypatch.setattr(semantics, "STATE_CAP", 1)
+    args = ["unfold", "--net", str(workdir / "net.pnml"), "--log", str(workdir / "nope.csv")]
     assert main(args) == 2
     assert "nope.csv" in capsys.readouterr().err
+    args[-1] = str(workdir / "log.csv")
+    assert main(args) == 3
+    assert "more than 1 reachable markings" in capsys.readouterr().err
 
 
 def test_unfold_coverage_dump(workdir, capsys):
@@ -615,6 +666,28 @@ def test_evaluate_refuses_the_free_unfolding_budgets_without_temd(workdir, capsy
     assert f"{flag} bounds only the tEMD unfolding" in captured.err
     assert main(args + ["--measures", "lh,temd"]) == 0
     assert [r["kind"] for r in json.loads(capsys.readouterr().out)] == ["lh", "temd"]
+
+
+@pytest.mark.parametrize(
+    "flag,value,rule",
+    [
+        ("--coverage", "2", "must be in (0, 1]"),
+        ("--coverage", "0", "must be in (0, 1]"),
+        ("--coverage", "nan", "must be in (0, 1]"),
+        ("--max-trace-len", "0", "must be >= 1"),
+    ],
+)
+@pytest.mark.parametrize("command", ["evaluate", "unfold"])
+def test_free_unfolding_budget_out_of_range_exits_2_before_reading_inputs(tmp_path, capsys, command, flag, value, rule):
+    # once both files were read, the graph built and, for evaluate, lh and rEMD solved first
+    args = {
+        "evaluate": ["evaluate", "--net", str(tmp_path / "missing.pnml"), "--log", str(tmp_path / "missing.csv")],
+        "unfold": ["unfold", "--net", str(tmp_path / "missing.pnml"), "--coverage", "0.5"],
+    }[command]
+    assert main(args + [flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag} {rule}" in captured.err and "missing" not in captured.err
 
 
 def test_evaluate_without_coverage_unfolds_temd_to_0_8(workdir, capsys):

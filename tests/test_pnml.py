@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,38 @@ def test_writer_refuses_a_visible_label_that_reads_back_as_silent(label):
     assert wn.net.alphabet == (label,)
     with pytest.raises(ValueError, match=f"transition 't': visible label {label!r}"):
         write_pnml(StochasticWorkflowNet(wn, {"t": 1.0}))
+
+
+@pytest.mark.parametrize(
+    "place,transition,label,refused",
+    [
+        ("start", "t", "a\x01b", "transition 't'"),
+        ("start", "t\ufffe", "a", "transition 't\\ufffe'"),
+        ("st\x00rt", "t", "a", "place 'st\\x00rt'"),
+    ],
+    ids=["label", "transition-id", "place-id"],
+)
+def test_writer_refuses_text_xml_cannot_hold(place, transition, label, refused):
+    # once the file was written and parse_pnml rejected it as not well-formed
+    net = LabeledPetriNet(
+        places=(place, "end"),
+        transitions=(transition,),
+        flow={(place, transition): 1, (transition, "end"): 1},
+        labeling={transition: label},
+        initial_marking={place: 1},
+    )
+    swn = StochasticWorkflowNet(validate_workflow(net, place, "end"), {transition: 1.0})
+    with pytest.raises(ValueError, match="^" + re.escape(f"{refused}: XML 1.0 cannot hold")):
+        write_pnml(swn)
+    kept = LabeledPetriNet(  # whitespace controls and astral characters are fine
+        places=("start", "end"),
+        transitions=("t\t1",),
+        flow={("start", "t\t1"): 1, ("t\t1", "end"): 1},
+        labeling={"t\t1": "a\n\U0001f600b"},
+        initial_marking={"start": 1},
+    )
+    swn = StochasticWorkflowNet(validate_workflow(kept, "start", "end"), {"t\t1": 1.0})
+    assert parse_pnml(write_pnml(swn)).net == kept
 
 
 def test_dangling_arc_rejected():

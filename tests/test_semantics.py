@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from swnopt import semantics
 from swnopt.nets import LabeledPetriNet, validate_workflow
 from swnopt.semantics import (
     NotEnabled,
@@ -138,9 +139,13 @@ def test_build_rg_two_loop_shape():
         assert (not rg.out_arcs[s]) == (s == rg.sink_state)
 
 
-def test_state_cap_exceeded():
-    with pytest.raises(StateCapExceeded):
-        build_rg(parallel_choice_wn(), state_cap=3)
+def test_state_cap_exceeded(monkeypatch):
+    n_states = build_rg(parallel_choice_wn()).n_states
+    monkeypatch.setattr(semantics, "STATE_CAP", n_states)  # read at call time
+    assert build_rg(parallel_choice_wn()).n_states == n_states
+    monkeypatch.setattr(semantics, "STATE_CAP", n_states - 1)
+    with pytest.raises(StateCapExceeded, match=f"more than {n_states - 1} reachable markings"):
+        build_rg(parallel_choice_wn())
 
 
 def test_out_arcs_list_each_state_arcs_in_index_order():
