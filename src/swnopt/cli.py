@@ -86,12 +86,25 @@ def _check_budgets(coverage: float, max_trace_len: int | None) -> None:
         raise InputError(f"--{name.replace('_', '-')} {rule}")
 
 
+def _check_outputs(*flagged: tuple[str, str]) -> None:
+    """Refuse, by its flag and before any file is read, an output path that is
+    a directory or whose parent is not an existing directory."""
+    for flag, path in flagged:
+        if Path(path).is_dir():
+            raise InputError(f"{flag} {path} is a directory")
+        if not Path(path).parent.is_dir():
+            raise InputError(f"{flag} {path}: {Path(path).parent} is not an existing directory")
+
+
 def _trace_entries(probs: dict, key: str) -> list[dict]:
     return [{"trace": list(t), key: p} for t, p in sorted(probs.items())]
 
 
 def cmd_discover(args: argparse.Namespace) -> int:
     config = OptimizerConfig(n0=args.n0, max_iter=args.max_iter, delta=args.delta, seed=args.seed)
+    _check_outputs(
+        ("--out-net", args.out_net), ("--out-report", args.out_report), ("--out-convergence", args.out_convergence)
+    )
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()

@@ -4,8 +4,10 @@ bounded local minimization of the chosen divergence.
 The objective is a pure function of the weight vector: annotate the
 reachability graph, solve for the probabilities of the target's support,
 measure the divergence (negative log likelihood, or EMD restricted
-to the log's support).  Weights enter only through ratios, so the surface is
-scale invariant; optimization happens in log-weight space, within the log of
+to the log's support).  Everything after :func:`annotate` reads only the
+annotation, so the objective also scores an annotation its caller already
+holds.  Weights enter only through ratios, so the surface is scale
+invariant; optimization happens in log-weight space, within the log of
 :data:`WEIGHT_BOUNDS` per weight, and the reported weights are rescaled so
 the largest equals one.
 
@@ -14,10 +16,10 @@ the value or, with ``gradient=True`` (lh), the value and its gradient over
 log-weights.  :func:`_score` is its one guard: it scores a point the
 objective cannot score ``INVALID_OBJECTIVE``.  Both :func:`select_start` and
 :func:`minimize` score through it, and the start of the minimization is
-scored once, by scipy's first call.  Everything after :func:`annotate` reads
-only the arc probabilities, and the solves are deterministic, so
-:func:`minimize` scores a point whose arc probabilities equal, bit for bit,
-those of the last point it scored by handing back that point's outcome.
+scored once, by scipy's first call.  :func:`minimize` annotates each point
+scipy asks for once and scores that annotation.  The solves are
+deterministic, so it scores a point whose arc probabilities equal, bit for
+bit, those of the last point it scored by handing back that point's outcome.
 Such repeats are common: a weight whose transition is only ever enabled
 alone has arc probability w/w = 1.0, so a line search along it asks for the
 same arc probabilities again.
@@ -67,7 +69,7 @@ from .distances import (
 )
 from .logs import StochasticLanguage
 from .nets import WorkflowNet
-from .semantics import ReachabilityGraph, annotate, build_rg, log_weight_gradient
+from .semantics import AnnotatedRG, ReachabilityGraph, annotate, build_rg, log_weight_gradient
 from .unfolding import IllConditioned, PrefixProduct
 
 #: The scipy method each measure is minimized with.
@@ -140,6 +142,8 @@ class OptimizerConfig:
             raise ValueError("max_iter must be >= 1")
         if not (0.0 < self.delta < math.inf):
             raise ValueError("delta must be finite and positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -159,16 +163,22 @@ class OptimizationResult:
         return "\n".join(lines) + "\n"
 
 
-def evaluate_objective(spec: ObjectiveSpec, weights, gradient: bool = False) -> float | tuple[float, np.ndarray]:
-    """Divergence of the net under ``weights`` (a float sequence in transition
-    order, as for :func:`annotate`); pure in ``weights``.
+def evaluate_objective(
+    spec: ObjectiveSpec, weights: AnnotatedRG | np.ndarray, gradient: bool = False
+) -> float | tuple[float, np.ndarray]:
+    """Divergence of the net under ``weights``: a float sequence in transition
+    order, as for :func:`annotate`, or the :class:`AnnotatedRG` that
+    :func:`annotate` made of ``spec.rg``, which scores as its weights do.
+    Pure in ``weights``.  An annotation of another graph raises ValueError.
 
     With ``gradient`` (lh only) it returns ``(value, ∂value/∂log w)``, both
     from the one LU factor of the trace-probability solve.
     """
     if gradient and spec.measure != "lh":
         raise ValueError(f"{spec.measure} has no gradient; only lh does")
-    arg = annotate(spec.rg, weights)
+    arg = weights if isinstance(weights, AnnotatedRG) else annotate(spec.rg, weights)
+    if arg.rg is not spec.rg:
+        raise ValueError("the annotation is of another reachability graph than the spec's")
     probs, pullback = spec._product.probabilities_with_pullback(arg)
     if spec.measure == "remd":
         return restricted_emd(spec.target, probs, spec._cost).value
@@ -178,7 +188,9 @@ def evaluate_objective(spec: ObjectiveSpec, weights, gradient: bool = False) -> 
     return value, log_weight_gradient(arg, pullback(log_likelihood_gradient(spec.target, probs)))
 
 
-def _score(spec: ObjectiveSpec, weights: np.ndarray, gradient: bool = False) -> float | tuple[float, np.ndarray]:
+def _score(
+    spec: ObjectiveSpec, weights: AnnotatedRG | np.ndarray, gradient: bool = False
+) -> float | tuple[float, np.ndarray]:
     """:func:`evaluate_objective`, with a point it cannot score (ZeroModelMass,
     IllConditioned, or a gradient that is not finite) scored INVALID_OBJECTIVE,
     with a zero gradient when one was asked for."""
@@ -212,8 +224,9 @@ def minimize(spec: ObjectiveSpec, w0, config: OptimizerConfig) -> OptimizationRe
     """Local minimization from the weights ``w0`` (transition order) in log-weight space within
     :data:`WEIGHT_BOUNDS`, by the measure's method; returns the best point evaluated.
 
-    A point whose arc probabilities equal those of the last point scored in
-    this call gets that point's outcome without a new evaluation."""
+    Each point scipy asks for is annotated once, and that annotation is
+    scored.  A point whose arc probabilities equal those of the last point
+    scored in this call gets that point's outcome without a new evaluation."""
     with_gradient = spec.measure == "lh"
     lo, hi = math.log(WEIGHT_BOUNDS[0]), math.log(WEIGHT_BOUNDS[1])
     x0 = np.clip(np.log(np.asarray(w0, dtype=np.float64)), lo, hi)
@@ -222,10 +235,9 @@ def minimize(spec: ObjectiveSpec, w0, config: OptimizerConfig) -> OptimizationRe
     trace = []
 
     def objective(x):
-        weights = np.exp(x)
-        arc_prob = annotate(spec.rg, weights).arc_prob
-        if not np.array_equal(arc_prob, last["arc_prob"]):
-            last.update(arc_prob=arc_prob, out=_score(spec, weights, gradient=with_gradient))
+        arg = annotate(spec.rg, np.exp(x))
+        if not np.array_equal(arg.arc_prob, last["arc_prob"]):
+            last.update(arc_prob=arg.arc_prob, out=_score(spec, arg, gradient=with_gradient))
         out = last["out"]
         fx = out[0] if with_gradient else out
         if fx < best["value"]:

@@ -312,11 +312,29 @@ def test_missing_required_input_exits_2_naming_it(capsys, argv, flag):
 
 
 def test_discover_checks_its_optimizer_options_before_reading_inputs(workdir, capsys):
-    args = _discover_args(workdir, n0="0")
-    args[2] = str(workdir / "nope.pnml")
-    assert main(args) == 2
-    err = capsys.readouterr().err
-    assert "n0 must be >= 1" in err and "nope.pnml" not in err
+    for option, message in (({"n0": "0"}, "n0 must be >= 1"), ({"seed": "-1"}, "seed must be >= 0")):
+        args = _discover_args(workdir, **option)
+        args[2] = str(workdir / "nope.pnml")
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert message in err and "nope.pnml" not in err
+
+
+_OUTPUTS = {"out_net": "weighted.pnml", "out_report": "report.json", "out_convergence": "convergence.csv"}
+
+
+@pytest.mark.parametrize("where", ["under-a-file", "a-directory"])
+@pytest.mark.parametrize("output", list(_OUTPUTS))
+def test_discover_checks_its_output_paths_before_the_fit(workdir, capsys, monkeypatch, output, where):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("discover fitted before checking its output paths")
+
+    monkeypatch.setattr(cli, "optimized_weights", no_fit)
+    bad = workdir / "log.csv" / "out" if where == "under-a-file" else workdir
+    assert main(_discover_args(workdir, **{output: bad})) == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith(f"error: --{output.replace('_', '-')} {bad}")
+    assert [name for key, name in _OUTPUTS.items() if key != output and (workdir / name).exists()] == []
 
 
 def test_every_flag_is_read(workdir, capsys, monkeypatch):

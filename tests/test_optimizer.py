@@ -22,7 +22,7 @@ from swnopt.optimize import (
     optimized_weights,
     select_start,
 )
-from swnopt.semantics import annotate, build_rg
+from swnopt.semantics import AnnotatedRG, annotate, build_rg
 from swnopt.unfolding import IllConditioned, PrefixProduct, trace_probabilities, unfold_language
 
 from .fixtures import (
@@ -63,6 +63,8 @@ def test_optimizer_config_validation():
         OptimizerConfig(delta=0.0)
     with pytest.raises(ValueError):
         OptimizerConfig(delta=math.inf)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        OptimizerConfig(seed=-1)
 
 
 def test_evaluate_objective_reference_values():
@@ -389,6 +391,26 @@ def test_objective_values_equal_a_trace_keyed_reference_bit_for_bit(name):
     assert evaluate_objective(remd, weights) == min(max(language_emd(lh.target, model).cost, 0.0), 1.0)
 
 
+@pytest.mark.parametrize("name", list(_GRADIENT_SPECS))
+def test_an_annotation_scores_as_its_weights_bit_for_bit(name):
+    lh = _GRADIENT_SPECS[name]()
+    remd = ObjectiveSpec(measure="remd", rg=lh.rg, target=lh.target)
+    weights = np.random.default_rng(5).uniform(0.05, 1.0, lh.n_weights)
+    arg = annotate(lh.rg, weights)
+    value, grad = evaluate_objective(lh, arg, gradient=True)
+    expected_value, expected_grad = evaluate_objective(lh, weights, gradient=True)
+    assert value == expected_value and np.array_equal(grad, expected_grad)
+    assert evaluate_objective(lh, arg) == evaluate_objective(lh, weights)
+    assert evaluate_objective(remd, arg) == evaluate_objective(remd, weights)
+
+
+def test_an_annotation_of_another_graph_is_refused():
+    spec = _pc_spec("lh")
+    other = annotate(build_rg(parallel_choice_wn()), _pc_weights())  # an equal graph, but not the spec's
+    with pytest.raises(ValueError, match="another reachability graph"):
+        evaluate_objective(spec, other)
+
+
 @pytest.fixture
 def splu_calls(monkeypatch):
     """A list that grows by one per sparse LU factorization of a trace-probability solve."""
@@ -505,12 +527,14 @@ def test_remd_has_no_gradient():
 
 @pytest.fixture
 def objective_calls(monkeypatch):
-    """The weights of every evaluate_objective call, in call order."""
+    """The arc probabilities of every evaluate_objective call, in call order,
+    whether it was given weights or an annotation."""
     calls = []
     original = swnopt.optimize.evaluate_objective
 
     def recording(spec, weights, *args, **kwargs):
-        calls.append(np.array(weights, dtype=np.float64))
+        arg = weights if isinstance(weights, AnnotatedRG) else annotate(spec.rg, weights)
+        calls.append(arg.arc_prob)
         return original(spec, weights, *args, **kwargs)
 
     monkeypatch.setattr(swnopt.optimize, "evaluate_objective", recording)
@@ -522,9 +546,9 @@ def test_minimize_scores_start_once(objective_calls, measure):
     spec = _two_loop_spec(measure)
     w0 = np.random.default_rng(1).uniform(0.2, 1.0, spec.n_weights)
     result = minimize(spec, w0, OptimizerConfig(max_iter=5, seed=0))
-    start = np.exp(np.log(w0))
+    start = annotate(spec.rg, np.exp(np.log(w0))).arc_prob
     assert np.array_equal(objective_calls[0], start)
-    assert sum(np.array_equal(w, start) for w in objective_calls) == 1
+    assert sum(np.array_equal(p, start) for p in objective_calls) == 1
     assert result.trace[0] == (0, evaluate_objective(spec, w0))
 
 
@@ -562,9 +586,25 @@ def test_minimize_scores_each_run_of_equal_arc_probabilities_once(objective_call
     optimized_weights(spec, config)
     requested = scipy_objective["calls"]
     assert len(objective_calls) < config.n0 + len(requested)
-    computed = [annotate(spec.rg, w).arc_prob for w in objective_calls[config.n0 :]]
+    computed = objective_calls[config.n0 :]
     assert not any(np.array_equal(a, b) for a, b in zip(computed, computed[1:]))
     assert all(value == swnopt.optimize._score(spec, np.exp(x)) for x, value in requested)
+
+
+@pytest.mark.parametrize("measure", MEASURES)
+def test_minimize_annotates_each_requested_point_once(scipy_objective, monkeypatch, measure):
+    annotated = []
+    original = swnopt.optimize.annotate
+
+    def counting(rg, weights):
+        annotated.append(1)
+        return original(rg, weights)
+
+    monkeypatch.setattr(swnopt.optimize, "annotate", counting)
+    spec = _two_loop_spec(measure)
+    minimize(spec, np.random.default_rng(1).uniform(0.2, 1.0, spec.n_weights), OptimizerConfig(max_iter=5, seed=0))
+    assert len(scipy_objective["calls"]) > 5
+    assert len(annotated) == len(scipy_objective["calls"])
 
 
 def test_minimize_hands_out_a_fresh_gradient_for_a_repeated_point(objective_calls, scipy_objective):
