@@ -88,12 +88,17 @@ def _check_budgets(coverage: float, max_trace_len: int | None) -> None:
 
 def _check_outputs(*flagged: tuple[str, str]) -> None:
     """Refuse, by its flag and before any file is read, an output path that is
-    a directory or whose parent is not an existing directory."""
+    a directory or whose parent is not an existing directory, and two outputs
+    that resolve to the same file, by both flags."""
+    resolved: dict[Path, str] = {}
     for flag, path in flagged:
         if Path(path).is_dir():
             raise InputError(f"{flag} {path} is a directory")
         if not Path(path).parent.is_dir():
             raise InputError(f"{flag} {path}: {Path(path).parent} is not an existing directory")
+        first = resolved.setdefault(Path(path).resolve(), flag)
+        if first != flag:
+            raise InputError(f"{first} and {flag} name the same file {path}")
 
 
 def _trace_entries(probs: dict, key: str) -> list[dict]:

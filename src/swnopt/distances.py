@@ -14,12 +14,15 @@ marginals arrays in cost-matrix order; only :func:`language_emd` and
   solved with HiGHS's dual simplex; with normalized Levenshtein costs the
   value lies in [0, 1] and is interpretable as "how much probability must
   move how far".  Each :class:`CostMatrix` holds one HiGHS model with its
-  costs and marginal constraints; a solve only rewrites the row bounds to
-  the two marginals.  Per-call set-up, not pivoting, dominates these small
-  LPs, so this is what makes rEMD cheap enough to optimize.  Every solve
-  starts cold, from no basis: a warm start would save a little more but
-  make a value depend on which LPs the model solved before.  rEMD and tEMD
-  read back only the LP's value; ``emd`` also reads the plan.  HiGHS runs
+  costs and marginal constraints, and the marginals last written to its row
+  bounds; a solve rewrites only the rows whose marginal changed, which for
+  rEMD is the model side alone (the log side stays).  Per-call set-up, not
+  pivoting, dominates these small LPs, so this is what makes rEMD cheap
+  enough to optimize.  Every solve starts cold, from no basis: a warm start
+  would save a little more but make a value depend on which LPs the model
+  solved before.  The model's data is the same whatever it solved before,
+  so values do not depend on that either.  rEMD and tEMD read back only
+  the LP's value; ``emd`` also reads the plan.  HiGHS runs
   without presolve: presolve wrongly declares a transportation system
   infeasible when a marginal entry lies below its feasibility tolerance
   (~1e-7), and these LPs solve no slower without it.
@@ -109,6 +112,8 @@ class CostMatrix:
     #: transportation LP over the flattened plan: these costs, the (n+m) x nm
     #: marginal constraints (row sums, then column sums) and plan >= 0
     _lp: highs._Highs = field(init=False, repr=False, compare=False)
+    #: the marginals last written to ``_lp``'s row bounds, p then q
+    _marginals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cost = np.array(self.cost, dtype=np.float64)
@@ -130,10 +135,11 @@ class CostMatrix:
         cost.flags.writeable = False
         object.__setattr__(self, "cost", cost)
         object.__setattr__(self, "_lp", _transport_model(cost))
+        object.__setattr__(self, "_marginals", np.zeros(len(self.rows) + len(self.cols)))
 
 
 def _transport_model(cost: np.ndarray) -> highs._Highs:
-    """HiGHS model of the transportation LP; its row bounds are set per solve."""
+    """HiGHS model of the transportation LP, its row bounds all zero; a solve writes the marginals there."""
     n, m = cost.shape
     ij = np.arange(n * m)
     lp = highs.HighsLp()
@@ -236,9 +242,12 @@ class TransportPlan:
 def _emd_cost(p, q, cost: CostMatrix) -> float:
     """The optimal value of :func:`emd`'s transportation LP, from the same cold solve.
 
-    Only the value is read back, which costs far less than the solver's full
-    info record; the solution stays in ``cost``'s model until its next
-    solve, and :func:`emd` reads the plan from there.
+    Only the rows whose marginal differs, bit for bit, from the one last
+    written to ``cost``'s model are rewritten, so the model holds the same
+    data whatever was solved before.  Only the value is read back, which
+    costs far less than the solver's full info record; the solution stays in
+    ``cost``'s model until its next solve, and :func:`emd` reads the plan
+    from there.
     """
     p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
     n, m = len(cost.rows), len(cost.cols)
@@ -246,9 +255,12 @@ def _emd_cost(p, q, cost: CostMatrix) -> float:
         raise ValueError(f"cost matrix does not cover marginals of shapes {p.shape}, {q.shape}: it is {n}x{m}")
     if abs(p.sum() - 1.0) > _MARGINAL_TOL or abs(q.sum() - 1.0) > _MARGINAL_TOL:
         raise InfeasibleMarginals(f"marginals must have mass one: masses {p.sum()}, {q.sum()}")
+    marginals = np.concatenate([p, q])
+    changed = marginals.view(np.int64) != cost._marginals.view(np.int64)
     lp = cost._lp
-    for row, value in enumerate(p.tolist() + q.tolist()):
+    for row, value in zip(np.flatnonzero(changed).tolist(), marginals[changed].tolist()):
         lp.changeRowBounds(row, value, value)
+    cost._marginals[:] = marginals
     lp.clearSolver()
     lp.run()
     status = lp.getModelStatus()
@@ -263,13 +275,14 @@ def emd(p, q, cost: CostMatrix) -> TransportPlan:
 
     Solves the transportation linear program: minimize the total moving cost
     over all couplings whose row sums reproduce ``p`` and column sums ``q``.
-    The LP is the cost matrix's own HiGHS model.  This call writes the n+m
-    marginals into its row bounds, clears the previous solve's basis and
-    solves from scratch, so the result depends only on ``p``, ``q`` and the
-    costs, never on earlier calls.  HiGHS runs without presolve, because
-    presolve rejects feasible systems whose marginals hold entries below its
-    ~1e-7 tolerance.  rEMD and tEMD read back only the value; this call
-    also reads the optimal plan from the same solve.
+    The LP is the cost matrix's own HiGHS model.  This call writes into its
+    row bounds those of the n+m marginals that differ from the ones there,
+    clears the previous solve's basis and solves from scratch, so the result
+    depends only on ``p``, ``q`` and the costs, never on earlier calls.
+    HiGHS runs without presolve, because presolve rejects feasible systems
+    whose marginals hold entries below its ~1e-7 tolerance.  rEMD and tEMD
+    read back only the value; this call also reads the optimal plan from the
+    same solve.
     """
     value = _emd_cost(p, q, cost)
     shape = (len(cost.rows), len(cost.cols))
@@ -279,8 +292,8 @@ def emd(p, q, cost: CostMatrix) -> TransportPlan:
 
 def language_emd(p: StochasticLanguage, q: StochasticLanguage) -> TransportPlan:
     """EMD with normalized-Levenshtein costs over the two supports."""
-    cost = levenshtein_cost_matrix(tuple(p.probs), tuple(q.probs))
-    return emd(list(p.probs.values()), list(q.probs.values()), cost)
+    cost = levenshtein_cost_matrix(p.support, q.support)
+    return emd(p.prob_array, q.prob_array, cost)
 
 
 @dataclass(frozen=True)
@@ -321,7 +334,7 @@ def log_likelihood_divergence(target: StochasticLanguage, model: np.ndarray) -> 
     the model puts essentially no probability on any observed trace."""
     _mass_on_support(target, model)
     total = 0.0
-    for term in (np.fromiter(target.probs.values(), np.float64) * np.log(np.maximum(model, P_CLAMP))).tolist():
+    for term in (target.prob_array * np.log(np.maximum(model, P_CLAMP))).tolist():
         total -= term  # in support order, so the value does not depend on numpy's summation
     return total
 
@@ -329,7 +342,7 @@ def log_likelihood_divergence(target: StochasticLanguage, model: np.ndarray) -> 
 def log_likelihood_gradient(target: StochasticLanguage, model: np.ndarray) -> np.ndarray:
     """∂/∂P(σ) of :func:`log_likelihood_divergence`, in ``target.probs`` order:
     -q(σ)/P(σ), and 0 where the clamp at ``P_CLAMP`` holds."""
-    q = np.fromiter(target.probs.values(), np.float64)
+    q = target.prob_array
     return np.divide(-q, model, out=np.zeros(len(q)), where=model > P_CLAMP)
 
 
@@ -345,12 +358,12 @@ def restricted_emd(target: StochasticLanguage, model: np.ndarray, cost: CostMatr
     when the model puts essentially no probability on any observed trace.
     """
     mass = _mass_on_support(target, model)
-    support = tuple(target.probs)
+    support = target.support
     if cost is None:
         cost = levenshtein_cost_matrix(support, support)
     elif cost.rows != support or cost.cols != support:
         raise ValueError("cost matrix rows and columns must both be the target's support, in its order")
-    value = _emd_cost(list(target.probs.values()), model / mass, cost)
+    value = _emd_cost(target.prob_array, model / mass, cost)
     return DistanceReport(kind="remd", value=min(max(value, 0.0), 1.0), model_mass_on_log=mass)
 
 
@@ -367,6 +380,6 @@ def truncated_emd(target: StochasticLanguage, model: StochasticLanguage) -> Dist
     if mass < MASS_FLOOR:
         raise ZeroModelMass(f"truncated unfolding reached mass {mass}")
     p, q = target.normalized(), model.normalized()
-    cost = levenshtein_cost_matrix(tuple(p.probs), tuple(q.probs))
-    value = _emd_cost(list(p.probs.values()), list(q.probs.values()), cost)
+    cost = levenshtein_cost_matrix(p.support, q.support)
+    value = _emd_cost(p.prob_array, q.prob_array, cost)
     return DistanceReport(kind="temd", value=min(max(value, 0.0), 1.0), coverage_used=mass)

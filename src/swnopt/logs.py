@@ -17,7 +17,10 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from functools import cached_property
 from xml.parsers import expat
+
+import numpy as np
 
 from .errors import InputError
 
@@ -75,7 +78,9 @@ class StochasticLanguage:
 
     ``residual == 0`` means the language is complete; a positive residual
     marks a defective language obtained by truncation or restriction.  The
-    probabilities and the residual must account for all mass.
+    probabilities and the residual must account for all mass.  ``probs`` is
+    not changed after construction, so :attr:`support` and
+    :attr:`prob_array` are computed once.
     """
 
     probs: dict[Trace, float]
@@ -94,6 +99,18 @@ class StochasticLanguage:
     @property
     def is_complete(self) -> bool:
         return self.residual <= _SUM_TOL
+
+    @cached_property
+    def support(self) -> tuple[Trace, ...]:
+        """The traces, in ``probs`` order."""
+        return tuple(self.probs)
+
+    @cached_property
+    def prob_array(self) -> np.ndarray:
+        """The probabilities in ``probs`` order, as a read-only float array."""
+        probs = np.fromiter(self.probs.values(), np.float64, len(self.probs))
+        probs.flags.writeable = False
+        return probs
 
     def mass(self) -> float:
         return sum(self.probs.values())

@@ -115,7 +115,7 @@ class ObjectiveSpec:
         if not self.target.is_complete:
             raise ValueError("target language must be complete")
         object.__setattr__(self, "_product", PrefixProduct(self.rg, self.target.probs))
-        support = tuple(self.target.probs)
+        support = self.target.support
         cost = levenshtein_cost_matrix(support, support) if self.measure == "remd" else None
         object.__setattr__(self, "_cost", cost)
 
@@ -225,19 +225,21 @@ def minimize(spec: ObjectiveSpec, w0, config: OptimizerConfig) -> OptimizationRe
     :data:`WEIGHT_BOUNDS`, by the measure's method; returns the best point evaluated.
 
     Each point scipy asks for is annotated once, and that annotation is
-    scored.  A point whose arc probabilities equal those of the last point
-    scored in this call gets that point's outcome without a new evaluation."""
+    scored.  A point whose arc probabilities equal, byte for byte, those of
+    the last point scored in this call gets that point's outcome without a
+    new evaluation."""
     with_gradient = spec.measure == "lh"
     lo, hi = math.log(WEIGHT_BOUNDS[0]), math.log(WEIGHT_BOUNDS[1])
     x0 = np.clip(np.log(np.asarray(w0, dtype=np.float64)), lo, hi)
     best = {"value": math.inf, "x": x0}
-    last = {"arc_prob": None, "out": None}  # the last point scored, by its arc probabilities
+    last = {"key": None, "out": None}  # the last point scored, by the bytes of its arc probabilities
     trace = []
 
     def objective(x):
         arg = annotate(spec.rg, np.exp(x))
-        if not np.array_equal(arg.arc_prob, last["arc_prob"]):
-            last.update(arc_prob=arg.arc_prob, out=_score(spec, arg, gradient=with_gradient))
+        key = arg.arc_prob.tobytes()
+        if key != last["key"]:
+            last.update(key=key, out=_score(spec, arg, gradient=with_gradient))
         out = last["out"]
         fx = out[0] if with_gradient else out
         if fx < best["value"]:

@@ -1,7 +1,7 @@
 """Trace probabilities of an annotated reachability graph.
 
 * Restricted unfolding, the probability of each trace of a fixed target set
-  (a log's support), is one sparse linear solve over :class:`PrefixProduct`,
+  (a log's support), is one linear solve over :class:`PrefixProduct`,
   the product of the graph with the targets' prefix trie.  The product
   depends only on the graph and the targets, so it is built once.  Inside,
   probabilities are arrays in the product's target order; dicts keyed by
@@ -31,6 +31,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.sparse.linalg import splu
 
 from .errors import ComputationError
@@ -42,6 +43,10 @@ MAX_PREFIXES = 1 << 20
 
 #: How far a solved probability may leave [0, 1] before the solve is rejected.
 _PROB_TOL = 1e-9
+
+#: Most keys a :class:`PrefixProduct` solves with dense LU; a larger one goes to
+#: SuperLU.  Below the measured crossover, about 75 keys on one core.
+_DENSE_KEYS = 64
 
 
 class PrefixCapExceeded(ComputationError):
@@ -67,8 +72,24 @@ def _reaching(n: int, edges: Iterable[tuple[int, int]], seeds: Iterable[int]) ->
     return np.array(live, dtype=bool)
 
 
-def _factor(matrix: sparse.csc_array):
-    """SuperLU factor of ``matrix`` in its own order; :class:`IllConditioned` when it is singular."""
+class _DenseLU:
+    """LAPACK LU factor (``dgetrf``, partial pivoting) of a dense matrix, with SuperLU's ``solve``."""
+
+    def __init__(self, matrix: np.ndarray):
+        self._lu, self._piv, info = dgetrf(matrix, overwrite_a=True)
+        if info > 0:
+            raise IllConditioned(f"trace probability solve failed: U({info}, {info}) is exactly zero")
+
+    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        return dgetrs(self._lu, self._piv, rhs, trans=int(trans == "T"))[0]
+
+
+def _factor(matrix: np.ndarray | sparse.csc_array):
+    """LU factor of ``matrix`` with ``solve(rhs, trans="N"|"T")``: LAPACK's for a
+    dense (Fortran-ordered, overwritten) array, SuperLU's in natural order for a
+    sparse one.  :class:`IllConditioned` when it is singular."""
+    if isinstance(matrix, np.ndarray):
+        return _DenseLU(matrix)
     try:
         return splu(matrix, permc_spec="NATURAL")
     except RuntimeError as exc:
@@ -77,9 +98,12 @@ def _factor(matrix: sparse.csc_array):
 
 def _unit_interval(probs: np.ndarray) -> np.ndarray:
     """``probs`` clipped to [0, 1]; :class:`IllConditioned` when one leaves it by more than :data:`_PROB_TOL`."""
-    if not np.all((probs >= -_PROB_TOL) & (probs <= 1.0 + _PROB_TOL)):
-        raise IllConditioned(f"trace probability solve left [0, 1]: {probs.min()} .. {probs.max()}")
-    return np.clip(probs, 0.0, 1.0)
+    if not probs.size:
+        return probs
+    lo, hi = probs.min(), probs.max()
+    if not (lo >= -_PROB_TOL and hi <= 1.0 + _PROB_TOL):  # a NaN fails both
+        raise IllConditioned(f"trace probability solve left [0, 1]: {lo} .. {hi}")
+    return probs if lo >= 0.0 and hi <= 1.0 else np.clip(probs, 0.0, 1.0)
 
 
 class PrefixProduct:
@@ -100,9 +124,18 @@ class PrefixProduct:
     ``(I - P^T) x = e_0``.  The adjoint ``λ = (I - P^T)^{-T} c`` reuses the
     same LU factor, so the gradient of any function of the P(σ) with respect
     to every arc probability costs one more (transposed) solve.  Parallel
-    arcs between two keys share one slot of the pattern.  The matrix is
-    built once and each solve overwrites its values in place, so one product
+    arcs between two keys share one slot of the pattern.  The pattern is
+    fixed once and each solve overwrites its values in place, so one product
     must not be solved by two threads at once.
+
+    A product of at most :data:`_DENSE_KEYS` (64) keys is factored dense, by
+    LAPACK's ``dgetrf`` on a matrix filled from the pattern; a larger one by
+    SuperLU on the sparse pattern itself.  Both go through :func:`_factor`.
+    On a small system SuperLU's fixed set-up costs more than the arithmetic,
+    which dense LU does not pay, while dense work grows as the cube of the
+    keys; the two cost the same near 75 keys.  They pivot and sum in
+    different orders, so where a silent cycle couples keys the probabilities
+    of the two paths can differ in the last bits.
     """
 
     def __init__(self, rg: ReachabilityGraph, traces: Iterable[Trace]):
@@ -151,6 +184,7 @@ class PrefixProduct:
         indices = (slots % n).astype(np.intc)  # SuperLU's index type: no cast per solve
         indptr = np.searchsorted(slots // n, np.arange(n + 1)).astype(np.intc)
         self._matrix = sparse.csc_array((self._identity.copy(), indices, indptr), shape=(n, n))
+        self._dense_at = slots  # column * n + row: a slot's place in a Fortran-ordered n x n array
         self._edge_slot = slot_of[n:]
         self._edge_src, self._edge_dst = renumber[kept[:, 0]], renumber[kept[:, 1]]
         self._edge_arc = kept[:, 2]
@@ -176,14 +210,20 @@ class PrefixProduct:
         arc_prob = arg.arc_prob
         n_arcs = len(arc_prob)
         probs = np.zeros(len(self.traces))
-        if not self.producible.any():
+        if not len(self._end_key):
             return probs, lambda trace_grad: np.zeros(n_arcs)
-        np.subtract(
+        values = np.subtract(
             self._identity,
             np.bincount(self._edge_slot, arc_prob[self._edge_arc], len(self._identity)),
             out=self._matrix.data,
         )
-        lu = _factor(self._matrix)
+        n = len(self._e0)
+        if n <= _DENSE_KEYS:
+            dense = np.zeros(n * n)
+            dense[self._dense_at] = values
+            lu = _factor(dense.reshape((n, n), order="F"))
+        else:
+            lu = _factor(self._matrix)
         visits = lu.solve(self._e0)
         probs[self.producible] = visits[self._end_key]
         probs = _unit_interval(probs)

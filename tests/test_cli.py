@@ -337,6 +337,26 @@ def test_discover_checks_its_output_paths_before_the_fit(workdir, capsys, monkey
     assert [name for key, name in _OUTPUTS.items() if key != output and (workdir / name).exists()] == []
 
 
+@pytest.mark.parametrize(
+    "first, second", [("out_net", "out_report"), ("out_net", "out_convergence"), ("out_report", "out_convergence")]
+)
+def test_discover_refuses_two_outputs_naming_one_file(workdir, capsys, monkeypatch, first, second):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("discover fitted before checking its output paths")
+
+    monkeypatch.setattr(cli, "optimized_weights", no_fit)
+    (workdir / "sub").mkdir()
+    same = {first: workdir / "same.out", second: workdir / "sub" / ".." / "same.out"}  # one file, two spellings
+    args = _discover_args(workdir, **same)
+    args[2] = str(workdir / "nope.pnml")  # refused before any input is read
+    assert main(args) == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    flags = [f"--{name.replace('_', '-')}" for name in (first, second)]
+    assert err.startswith(f"error: {flags[0]} and {flags[1]} name the same file")
+    assert "nope.pnml" not in err
+    assert not (workdir / "same.out").exists()
+
+
 def test_every_flag_is_read(workdir, capsys, monkeypatch):
     read = set()
 

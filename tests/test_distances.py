@@ -498,6 +498,42 @@ def test_transport_model_built_once_per_cost_matrix(monkeypatch):
     assert passed == [16]
 
 
+def test_transport_solves_rewrite_only_changed_marginals_and_keep_no_history(monkeypatch):
+    # one matrix solves rEMD-like pairs (p fixed, q new) and emd/tEMD-like ones
+    # (p new, or both); each value and plan equals a fresh matrix's, bit for bit
+    written = []
+
+    class CountingHighs(swnopt.distances.highs._Highs):
+        def changeRowBounds(self, row, lower, upper):
+            written.append(row)
+            return super().changeRowBounds(row, lower, upper)
+
+    monkeypatch.setattr(swnopt.distances.highs, "_Highs", CountingHighs)
+    rng, np_rng = random.Random(4), np.random.default_rng(4)
+    rows, cols = _random_support(rng, 5, "abc"), _random_support(rng, 7, "abc")
+    shared = levenshtein_cost_matrix(rows, cols)
+
+    def marginal(size):
+        mass = np_rng.random(size) ** 3
+        mass[np_rng.random(size) < 0.3] = 0.0
+        mass[0] += 1e-3
+        return mass / mass.sum()
+
+    p, q = marginal(5), marginal(7)
+    pairs = [(p, q), (p, marginal(7)), (p, marginal(7)), (marginal(5), q), (p, q), (p, q), (marginal(5), marginal(7))]
+    rewritten = []
+    for p, q in pairs:
+        written.clear()
+        value = swnopt.distances._emd_cost(p, q, shared)
+        rewritten.append(len(written))
+        fresh = CostMatrix(rows=rows, cols=cols, cost=shared.cost)
+        assert value == swnopt.distances._emd_cost(p, q, fresh)
+        assert emd(p, q, shared).plan.tobytes() == emd(p, q, fresh).plan.tobytes()
+    assert rewritten[0] == np.count_nonzero(np.concatenate(pairs[0]))  # rows start at zero
+    assert rewritten[1:3] == [np.count_nonzero(pairs[1][1] != pairs[0][1]), np.count_nonzero(pairs[2][1] != pairs[1][1])]
+    assert rewritten[5] == 0
+
+
 # -- truncated EMD ------------------------------------------------------------
 
 

@@ -412,24 +412,25 @@ def test_an_annotation_of_another_graph_is_refused():
 
 
 @pytest.fixture
-def splu_calls(monkeypatch):
-    """A list that grows by one per sparse LU factorization of a trace-probability solve."""
+def factor_calls(monkeypatch):
+    """A list that grows by one per LU factorization of a trace-probability
+    solve, dense or sparse: each goes through ``unfolding._factor``."""
     calls = []
-    original = swnopt.unfolding.splu
+    original = swnopt.unfolding._factor
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(swnopt.unfolding, "splu", counting)
+    monkeypatch.setattr(swnopt.unfolding, "_factor", counting)
     return calls
 
 
-def test_lh_value_and_gradient_factors_once(splu_calls):
+def test_lh_value_and_gradient_factors_once(factor_calls):
     spec = _treegen_lh_spec(1)
-    splu_calls.clear()  # the helper's free unfolding factors its silent closure
+    factor_calls.clear()  # the helper's free unfolding factors its silent closure
     evaluate_objective(spec, np.ones(spec.n_weights), gradient=True)
-    assert len(splu_calls) == 1
+    assert len(factor_calls) == 1
 
 
 def test_clamped_target_trace_contributes_no_gradient():
@@ -512,10 +513,10 @@ def test_lh_non_finite_gradient_is_scored_invalid(monkeypatch):
     assert math.isfinite(result.final_value) and result.final_value < evaluate_objective(spec, w0)
 
 
-def test_two_loop_lh_needs_few_factorizations(splu_calls):
-    # one splu per value-and-gradient point; 3-point differences needed 315
+def test_two_loop_lh_needs_few_factorizations(factor_calls):
+    # one factorization per value-and-gradient point; 3-point differences needed 315
     result = optimized_weights(_two_loop_spec("lh"), OptimizerConfig(n0=10, max_iter=50, delta=1e-3, seed=42))
-    assert len(splu_calls) <= 40
+    assert len(factor_calls) <= 40
     assert result.final_value <= 3.93
 
 
@@ -553,10 +554,10 @@ def test_minimize_scores_start_once(objective_calls, measure):
 
 
 @pytest.mark.parametrize("measure", MEASURES)
-def test_every_factorization_is_one_objective_call(objective_calls, splu_calls, measure):
+def test_every_factorization_is_one_objective_call(objective_calls, factor_calls, measure):
     optimized_weights(_two_loop_spec(measure), OptimizerConfig(n0=5, max_iter=10, seed=42))
     assert len(objective_calls) > 5
-    assert len(objective_calls) == len(splu_calls)
+    assert len(objective_calls) == len(factor_calls)
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ import pytest
 from swnopt import unfolding
 from swnopt.cli import main
 from swnopt.logs import EventLog, write_csv
-from swnopt.logs import StochasticLanguage
+from swnopt.logs import StochasticLanguage, log_language
 from swnopt.nets import LabeledPetriNet, StochasticWorkflowNet, validate_workflow
 from swnopt.pnml import write_pnml
 from swnopt.optimize import INVALID_OBJECTIVE, ObjectiveSpec, _score, evaluate_objective
@@ -25,10 +25,12 @@ from .fixtures import (
     PARALLEL_CHOICE_PROBS,
     closed_form_aa,
     closed_form_qa,
+    parallel_choice_log,
     parallel_choice_swn,
     silent_livelock_wn,
     single_transition_wn,
     twin_label_wn,
+    two_loop_log,
     two_loop_swn,
 )
 from .sim import simulate_target_frequencies
@@ -179,14 +181,58 @@ def test_exitless_silent_cycle_is_pruned():
     assert result[("a",)] == pytest.approx(0.4, abs=1e-12)
 
 
-def test_escape_below_float_precision_scores_invalid():
-    with pytest.raises(IllConditioned):
-        trace_probabilities(_annotated(_livelock(1e18)), [("a",)])
-    spec = ObjectiveSpec.for_net("lh", silent_livelock_wn(), StochasticLanguage({("a",): 1.0}))
-    weights = np.array([1.0, 1e18, 1.0, 1.0, 1.0])
-    assert _score(spec, weights) == INVALID_OBJECTIVE
-    value, grad = _score(spec, weights, gradient=True)
-    assert value == INVALID_OBJECTIVE and np.array_equal(grad, np.zeros(5))
+#: ``_DENSE_KEYS`` values that send every product to dense LU, and every one to SuperLU
+LU_PATHS = {"dense": 1 << 30, "sparse": 0}
+
+
+def test_escape_below_float_precision_scores_invalid(monkeypatch):
+    # at 1e18 the escape rounds away and the factor is singular; at 1e12 the
+    # solve goes through but gives P(<a>) = 1 + 2e-5, outside [0, 1]
+    for keys in LU_PATHS.values():
+        monkeypatch.setattr(unfolding, "_DENSE_KEYS", keys)
+        for w_go, message in ((1e18, "solve failed"), (1e12, r"left \[0, 1\]")):
+            with pytest.raises(IllConditioned, match=message):
+                trace_probabilities(_annotated(_livelock(w_go)), [("a",)])
+            spec = ObjectiveSpec.for_net("lh", silent_livelock_wn(), StochasticLanguage({("a",): 1.0}))
+            weights = np.array([1.0, w_go, 1.0, 1.0, 1.0])
+            assert _score(spec, weights) == INVALID_OBJECTIVE
+            value, grad = _score(spec, weights, gradient=True)
+            assert value == INVALID_OBJECTIVE and np.array_equal(grad, np.zeros(5))
+
+
+def _agreement_cases():
+    """(name, spec, weight vectors): the fixture nets with their logs, and a
+    generated net whose target is the top 40 traces of its language."""
+    rng = np.random.default_rng(5)
+    cases = [
+        ("parallel-choice", parallel_choice_swn().wn, log_language(parallel_choice_log())),
+        ("two-loop", two_loop_swn().wn, log_language(two_loop_log())),
+        ("silent-livelock", silent_livelock_wn(), StochasticLanguage({("a",): 1.0})),
+        ("twin-label", twin_label_wn(), StochasticLanguage({("a",): 0.5, ("a", "a"): 0.5})),
+    ]
+    wn = random_swn(random.Random(1), 50, True, min_activities=10, min_transitions=30).wn
+    language = unfold_language(annotate(build_rg(wn), np.ones(len(wn.net.transitions))), coverage=0.95, max_trace_len=20)
+    top = sorted(language.probs.items(), key=lambda kv: -kv[1])[:40]
+    mass = sum(p for _, p in top)
+    cases.append(("treegen-1", wn, StochasticLanguage({t: p / mass for t, p in top})))
+    for name, wn, target in cases:
+        spec = ObjectiveSpec.for_net("lh", wn, target)
+        yield name, spec, rng.uniform(0.05, 1.0, size=(5, spec.n_weights))
+
+
+def test_dense_and_sparse_lu_agree(monkeypatch):
+    default, sizes = unfolding._DENSE_KEYS, []
+    for name, spec, points in _agreement_cases():
+        sizes.append(len(spec._product._e0))
+        for weights in points:
+            arg = annotate(spec.rg, weights)
+            solved = {}
+            for path, keys in LU_PATHS.items():
+                monkeypatch.setattr(unfolding, "_DENSE_KEYS", keys)
+                solved[path] = (spec._product.probabilities(arg), evaluate_objective(spec, arg, gradient=True)[1])
+            for dense, sparse in zip(solved["dense"], solved["sparse"]):
+                assert np.max(np.abs(dense - sparse)) <= 1e-12 * np.max(np.abs(sparse)), name
+    assert min(sizes) <= default < max(sizes)  # by default, cases go down each path
 
 
 def test_product_built_once_per_spec(monkeypatch):
